@@ -1,7 +1,7 @@
 """Process-parallel serving benchmarks.
 
 Compares the multiprocess shard executor (shared-memory segments, one
-batched protocol round per shard) against the thread-pooled
+batched protocol round per shard) against the in-process
 :class:`~repro.shard.estimator.ShardedEstimator` serving the *same* shard
 indexes, and persists the comparison as ``results/parallel_report.json``
 for CI to upload.

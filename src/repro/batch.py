@@ -19,7 +19,7 @@ sampled from one text) repeats suffixes constantly, and the MOL lattice
 probes all ``O(p^2)`` substrings of one pattern, whose suffix sets overlap
 heavily. :class:`SuffixSharingCounter` delegates that sharing to a
 :class:`~repro.engine.planner.TrieBatchPlanner`; indexes without an
-automaton view fall back to memoising whole patterns only.
+automaton view fall back to counting whole patterns, unmemoised.
 
 Counting methods accept an optional cooperative
 :class:`~repro.service.deadline.Deadline`, checked once per automaton
@@ -59,6 +59,10 @@ class SuffixSharingCounter:
       pattern streams must call :meth:`clear` at workload boundaries (the
       serving tiers do this per feasibility probe).
 
+    Both caches belong to the planner; an index without an automaton
+    view is counted whole-pattern with nothing cached, so a mutating
+    index (a live corpus, a daemon) is never served a stale count.
+
     :meth:`clear` drops both caches.
     """
 
@@ -81,7 +85,6 @@ class SuffixSharingCounter:
             )
         )
         self._fallback_stats = EngineStats()
-        self._fallback_results: Dict[str, int] = {}
         # The planner path serialises on the planner's own lock; this lock
         # gives the whole-pattern fallback path the same guarantee.
         self._fallback_lock = threading.RLock()
@@ -116,14 +119,12 @@ class SuffixSharingCounter:
         """The result memo (read-mostly; exposed for tests/diagnostics)."""
         if self._planner is not None:
             return self._planner._results
-        return self._fallback_results
+        return {}
 
     def clear(self) -> None:
         """Drop all memoised state (both caches; see class docstring)."""
         if self._planner is not None:
             self._planner.clear()
-        with self._fallback_lock:
-            self._fallback_results.clear()
 
     def count(self, pattern: str, deadline: "Deadline | None" = None) -> int:
         """Same result as ``index.count(pattern)``, with suffix sharing."""
@@ -164,6 +165,8 @@ class SuffixSharingCounter:
                 self._fallback_stats.deadline_checks += 1
                 deadline.check()
             self._fallback_stats.patterns += 1
+            if self._index.accepts_deadline:
+                return self._index.count_or_none(pattern, deadline)  # type: ignore[attr-defined]
             return self._index.count_or_none(pattern)  # type: ignore[attr-defined]
 
     def count_or_none_many(
@@ -177,18 +180,18 @@ class SuffixSharingCounter:
         return [self.count_or_none(pattern, deadline) for pattern in patterns]
 
     def _fallback_count(self, pattern: str, deadline: "Deadline | None") -> int:
-        """Whole-pattern memoisation for indexes without an automaton."""
+        """Whole-pattern counting for indexes without an automaton.
+
+        Nothing is memoised: such an index may be a live corpus or a
+        daemon whose answers change under mutation.
+        """
         if not isinstance(pattern, str) or not pattern:
             raise PatternError("pattern must be a non-empty string")
         with self._fallback_lock:
             self._fallback_stats.patterns += 1
-            cached = self._fallback_results.get(pattern)
-            if cached is not None:
-                self._fallback_stats.result_cache_hits += 1
-                return cached
             if deadline is not None:
                 self._fallback_stats.deadline_checks += 1
                 deadline.check()
-            result = self._index.count(pattern)
-            self._fallback_results[pattern] = result
-            return result
+            if self._index.accepts_deadline:
+                return self._index.count(pattern, deadline)  # type: ignore[call-arg]
+            return self._index.count(pattern)

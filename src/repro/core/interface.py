@@ -46,6 +46,11 @@ class OccurrenceEstimator(abc.ABC):
     #: Error model of this index class.
     error_model: ErrorModel = ErrorModel.EXACT
 
+    #: Whether ``count`` and ``count_or_none`` take a trailing
+    #: ``deadline`` argument and honour it themselves (the sharded and
+    #: live executors, whose work a single up-front check cannot bound).
+    accepts_deadline: bool = False
+
     @property
     @abc.abstractmethod
     def alphabet(self) -> Alphabet:

@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.interface import ErrorModel
 from ..errors import InvalidParameterError
-from ..parallel.pool import SegmentPool
+from ..parallel.pool import SegmentPool, SegmentRef
 from ..parallel.segment import write_estimator_segment
 from ..shard.merge import merged_threshold
 from ..textutil import Text
@@ -44,32 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Reserved segment name for the exported delta index. Shard names are
 #: ``s<i>`` (:class:`~repro.shard.plan.ShardPlan`), so no collision.
 DELTA_SEGMENT = "live-delta"
-
-
-@dataclass(frozen=True)
-class SegmentRef:
-    """One published segment's serving metadata (no index bytes held).
-
-    Everything the supervisor needs to admit, merge and account a
-    segment without attaching it: the shared block to hand to a worker,
-    and the error-model header fields the merge algebra consumes.
-    """
-
-    name: str
-    shm_name: str
-    nbytes: int
-    error_model: str
-    threshold: int
-    text_length: int
-    characters: str
-
-    @property
-    def model(self) -> ErrorModel:
-        return ErrorModel(self.error_model)
-
-    def ceiling(self, pattern_length: int) -> int:
-        """The segment's trivial occurrence bound ``max(0, n - |P| + 1)``."""
-        return max(0, self.text_length - pattern_length + 1)
 
 
 @dataclass(frozen=True)
@@ -231,18 +204,7 @@ class GenerationPublisher:
         refs: List[SegmentRef] = []
         try:
             for name, blob in blobs:
-                published = pool.publish(name, blob)
-                refs.append(
-                    SegmentRef(
-                        name=name,
-                        shm_name=published.shm_name,
-                        nbytes=published.nbytes,
-                        error_model=str(published.meta["error_model"]),
-                        threshold=int(published.meta["threshold"]),
-                        text_length=int(published.meta["text_length"]),
-                        characters=str(published.meta["characters"]),
-                    )
-                )
+                refs.append(pool.publish(name, blob).ref)
         except Exception:
             pool.close()
             raise

@@ -32,76 +32,36 @@ is :meth:`Supervisor.open`, which recovers the latest committed manifest
 plus the WAL tail and republishes. Worker crashes are absorbed: the dead
 worker's segments degrade to their sound ceilings (merged model
 ``UPPER_BOUND``) while a monitor thread respawns it under capped,
-jittered exponential backoff; a worker that keeps dying is *condemned*
-(quarantined for good, answers stay degraded-but-sound) instead of being
-respawned in a hot loop.
+jittered exponential backoff (:class:`~repro.shard.fanout.BackoffPolicy`);
+a worker that keeps dying is *condemned* (quarantined for good, answers
+stay degraded-but-sound) instead of being respawned in a hot loop.
+
+Queries go through the shared fan-out core (:mod:`repro.shard.fanout`)
+and pipe client (:mod:`repro.shard.pipe`); what is the supervisor's own
+is the generation lifecycle, the monitor, and the fold that widens the
+shard merge by the generation's tombstones and adds its exact delta.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
-import random
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.interface import ErrorModel, OccurrenceEstimator
-from ..errors import InvalidParameterError, PatternError, ReproError
+from ..core.interface import ErrorModel
+from ..errors import InvalidParameterError, ReproError
 from ..live.corpus import LiveCorpus
 from ..service.deadline import Deadline
 from ..service.faults import SimulatedCrashError
+from ..shard.fanout import BackoffPolicy, FanOut, check_patterns
 from ..shard.merge import ShardAnswer, merge_answers
+from ..shard.pipe import BUSY, PipeWorker, pipe_round, round_window
 from ..space import SpaceReport
 from ..textutil import Alphabet
 from .generation import DELTA_SEGMENT, Generation, GenerationPublisher
-from .worker import ERROR_TYPES, daemon_worker_main
-
-#: Extra wall-clock granted past a query's own deadline before the
-#: supervisor declares a worker dead rather than merely slow.
-_DEADLINE_GRACE = 0.25
-
-
-class BackoffPolicy:
-    """Capped, jittered exponential backoff with a condemnation budget.
-
-    Attempt ``i`` (0-based) sleeps ``min(cap, base * 2**i) * U[0.5, 1]``.
-    Once more than ``max_failures`` failures land inside ``window``
-    seconds the worker is condemned — no further respawns, permanently
-    degraded answers — which is the "converges instead of respawn-storms"
-    guarantee the acceptance criteria name.
-    """
-
-    def __init__(
-        self,
-        base: float = 0.05,
-        cap: float = 1.0,
-        max_failures: int = 3,
-        window: float = 30.0,
-        seed: int = 0,
-    ):
-        if base < 0 or cap < 0:
-            raise InvalidParameterError("base and cap must be >= 0")
-        if max_failures < 1:
-            raise InvalidParameterError(
-                f"max_failures must be >= 1, got {max_failures}"
-            )
-        if window <= 0:
-            raise InvalidParameterError(f"window must be > 0, got {window}")
-        self.base = base
-        self.cap = cap
-        self.max_failures = max_failures
-        self.window = window
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def delay(self, attempt: int) -> float:
-        with self._lock:
-            jitter = 0.5 + 0.5 * self._rng.random()
-        return min(self.cap, self.base * (2 ** max(0, attempt))) * jitter
 
 
 @dataclass(frozen=True)
@@ -132,41 +92,7 @@ class DaemonAnswer:
         return self.lo == self.hi and not self.degraded
 
 
-class _Worker:
-    """One fleet slot: process handle, pipe, protocol lock, health."""
-
-    __slots__ = (
-        "index", "process", "conn", "lock", "req_seq", "attached",
-        "quarantined", "condemned", "reason", "failures", "respawns",
-        "retry_at",
-    )
-
-    def __init__(self, index: int):
-        self.index = index
-        self.process: Optional[mp.process.BaseProcess] = None
-        self.conn: Optional[Connection] = None
-        #: Serialises one request/reply round trip on the pipe.
-        self.lock = threading.Lock()
-        self.req_seq = 0
-        #: Generation numbers this worker has attached (parent's view).
-        self.attached: set = set()
-        self.quarantined = False
-        self.condemned = False
-        self.reason = ""
-        self.failures: List[float] = []
-        self.respawns = 0
-        self.retry_at = 0.0
-
-    def serving(self) -> bool:
-        return (
-            not self.quarantined
-            and self.process is not None
-            and self.process.is_alive()
-            and self.conn is not None
-        )
-
-
-class Supervisor(OccurrenceEstimator):
+class Supervisor(FanOut):
     """Crash-only serving supervisor with generation-based hot reload.
 
     Construct over an open :class:`~repro.live.corpus.LiveCorpus` (or via
@@ -217,7 +143,7 @@ class Supervisor(OccurrenceEstimator):
         self._drain_cond = threading.Condition(self._lock)
         #: Serialises publish/flip/retire and fleet growth.
         self._flip_lock = threading.RLock()
-        self._workers: List[_Worker] = []
+        self._workers: List[PipeWorker] = []
         self._generations: Dict[int, Generation] = {}
         self._pools: Dict[int, Any] = {}
         self._current: Optional[int] = None
@@ -229,7 +155,6 @@ class Supervisor(OccurrenceEstimator):
         self._closed = False
         self._monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
-        self._hot = None
         self.stats: Dict[str, int] = {
             "publishes": 0,
             "flips": 0,
@@ -300,7 +225,7 @@ class Supervisor(OccurrenceEstimator):
         if self._monitor is not None and self._monitor.is_alive():
             self._monitor.join(timeout=5.0)
         for worker in self._workers:
-            self._kill_worker(worker)
+            worker.kill()
         with self._lock:
             pools = list(self._pools.values())
             self._pools.clear()
@@ -356,7 +281,7 @@ class Supervisor(OccurrenceEstimator):
         with self._lock:
             return [
                 {
-                    "index": w.index,
+                    "index": index,
                     "pid": (
                         None if w.process is None else w.process.pid
                     ),
@@ -367,10 +292,10 @@ class Supervisor(OccurrenceEstimator):
                     "condemned": w.condemned,
                     "reason": w.reason,
                     "respawns": w.respawns,
-                    "window_failures": len(w.failures),
+                    "window_failures": len(w.respawn_times),
                     "attached": sorted(w.attached),
                 }
-                for w in self._workers
+                for index, w in enumerate(self._workers)
             ]
 
     def status(self) -> Dict[str, Any]:
@@ -399,181 +324,58 @@ class Supervisor(OccurrenceEstimator):
 
     # -- worker lifecycle -----------------------------------------------------
 
-    def _spawn_worker(self, worker: _Worker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=daemon_worker_main,
-            args=(child_conn, self._max_states),
-            name=f"repro-daemon-w{worker.index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(self._worker_timeout):
-            process.terminate()
-            process.join(timeout=1.0)
-            raise ReproError(
-                f"daemon worker {worker.index} did not complete its "
-                "handshake"
-            )
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            process.join(timeout=1.0)
-            raise ReproError(
-                f"daemon worker {worker.index} died during its handshake "
-                f"(exit code {process.exitcode})"
-            ) from exc
-        if reply[0] != "ready":
-            process.join(timeout=1.0)
-            raise ReproError(
-                f"daemon worker {worker.index} failed its handshake: "
-                f"{reply!r}"
-            )
-        worker.process = process
-        worker.conn = parent_conn
-        worker.attached = set()
-
-    def _kill_worker(self, worker: _Worker) -> None:
-        conn, process = worker.conn, worker.process
-        worker.conn = None
-        worker.process = None
-        worker.attached = set()
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        if process is not None:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():  # wedged (e.g. SIGSTOPped): SIGKILL
-                process.kill()
-                process.join(timeout=5.0)
-
     def _ensure_workers(self, needed: int) -> None:
         # Called under the flip lock: the fleet only grows here.
         while len(self._workers) < needed:
-            worker = _Worker(len(self._workers))
-            self._spawn_worker(worker)
+            worker = PipeWorker(f"w{len(self._workers)}")
+            worker.spawn(self._ctx, self._max_states, self._worker_timeout)
             self._workers.append(worker)
 
-    # -- pipe protocol --------------------------------------------------------
-
-    def _roundtrip(
-        self,
-        worker: _Worker,
-        op: str,
-        tail: Tuple[Any, ...],
-        timeout: float,
-        lock_timeout: Optional[float] = None,
-    ) -> Tuple[Any, str, bool]:
-        """One request/reply on the worker's pipe.
-
-        Returns ``(value, failure_reason, ok)``. Worker-reported *errors*
-        re-raise in the caller (a live worker's failure must propagate);
-        worker *death* — broken pipe, poll timeout, EOF, desync — reports
-        ``ok=False`` and notes the failure so the monitor respawns.
-        """
-        acquired = worker.lock.acquire(
-            timeout=timeout if lock_timeout is None else lock_timeout
-        )
-        if not acquired:
-            return None, "worker busy past deadline", False
-        try:
-            conn = worker.conn
-            if conn is None:
-                return None, "worker not running", False
-            worker.req_seq += 1
-            req_id = worker.req_seq
-            try:
-                conn.send((op, req_id) + tail)
-            except (BrokenPipeError, OSError):
-                self._note_failure(worker, "worker pipe broken")
-                return None, worker.reason, False
-            try:
-                if not conn.poll(timeout):
-                    alive = (
-                        worker.process is not None
-                        and worker.process.is_alive()
-                    )
-                    self._note_failure(
-                        worker,
-                        "worker wedged (no reply)" if alive
-                        else "worker died mid-request",
-                    )
-                    return None, worker.reason, False
-                reply = conn.recv()
-            except (EOFError, OSError):
-                self._note_failure(worker, "worker died mid-request")
-                return None, worker.reason, False
-            if reply[0] != req_id:
-                self._note_failure(
-                    worker,
-                    f"protocol desync (reply {reply[0]}, want {req_id})",
-                )
-                return None, worker.reason, False
-            if reply[1] == "err":
-                _, _, type_name, message = reply
-                raise ERROR_TYPES.get(type_name, ReproError)(
-                    f"daemon worker {worker.index}: {message}"
-                )
-            return reply[2], "", True
-        finally:
-            worker.lock.release()
-
-    def _attach(self, worker: _Worker, number: int, shm_name: str) -> None:
-        value, reason, ok = self._roundtrip(
-            worker, "attach", (number, shm_name), self._worker_timeout
-        )
-        if not ok:
+    def _attach(self, worker: PipeWorker, number: int, shm_name: str) -> None:
+        value, reason = pipe_round(
+            [worker], ("attach", number, shm_name), self._worker_timeout,
+            self._fail,
+        )[0]
+        if reason:
             raise ReproError(
-                f"daemon worker {worker.index} could not attach "
+                f"daemon worker {worker.name} could not attach "
                 f"generation {number}: {reason}"
             )
-        worker.attached.add(number)
+        worker.attached[number] = value
 
-    def _release(self, worker: _Worker, number: int) -> None:
-        worker.attached.discard(number)
+    def _release(self, worker: PipeWorker, number: int) -> None:
+        worker.attached.pop(number, None)
         if not worker.serving():
             return
         try:
-            self._roundtrip(
-                worker, "release", (number,), self._worker_timeout
+            pipe_round(
+                [worker], ("release", number), self._worker_timeout,
+                self._fail,
             )
         except ReproError:
             pass  # release is best effort: unlink proceeds regardless
 
     # -- failure handling -----------------------------------------------------
 
-    def _note_failure(self, worker: _Worker, reason: str) -> None:
-        """Record one worker failure and schedule (or refuse) a respawn."""
+    def _fail(self, worker: PipeWorker, reason: str) -> None:
+        """Quarantine a failed worker and schedule (or refuse) its respawn."""
         now = time.monotonic()
         with self._lock:
-            worker.failures = [
-                t for t in worker.failures
-                if now - t < self._backoff.window
-            ]
-            worker.failures.append(now)
             worker.quarantined = True
             worker.reason = reason
-            if len(worker.failures) > self._backoff.max_failures:
-                if not worker.condemned:
-                    worker.condemned = True
-                    worker.reason = (
-                        f"condemned: {len(worker.failures)} failures within "
-                        f"{self._backoff.window:.0f}s (last: {reason})"
-                    )
-                    self.stats["condemned"] += 1
-            else:
-                worker.retry_at = now + self._backoff.delay(
-                    len(worker.failures) - 1
+            delay = self._backoff.spend(worker.respawn_times, now)
+            if delay is not None:
+                worker.retry_at = now + delay
+            elif not worker.condemned:
+                worker.condemned = True
+                worker.reason = (
+                    f"condemned: more than {self._backoff.max_failures} "
+                    f"failures within {self._backoff.window:.0f}s "
+                    f"(last: {reason})"
                 )
+                self.stats["condemned"] += 1
 
-    def _try_respawn(self, worker: _Worker) -> None:
+    def _try_respawn(self, worker: PipeWorker) -> None:
         """One monitored respawn attempt: fresh process, reattach every
         generation the supervisor still holds for this slot."""
         with self._flip_lock:
@@ -584,21 +386,20 @@ class Supervisor(OccurrenceEstimator):
                 # path) while we waited on the lock; don't kill their
                 # fresh worker.
                 return
-            self._kill_worker(worker)
+            worker.kill()
+            index = self._workers.index(worker)
             try:
-                self._spawn_worker(worker)
+                worker.spawn(self._ctx, self._max_states, self._worker_timeout)
                 with self._lock:
                     targets = [
-                        (number, gen.segments[worker.index].shm_name)
+                        (number, gen.segments[index].shm_name)
                         for number, gen in self._generations.items()
-                        if worker.index < len(gen.segments)
+                        if index < len(gen.segments)
                     ]
                 for number, shm_name in targets:
                     self._attach(worker, number, shm_name)
             except Exception as exc:
-                self._note_failure(
-                    worker, f"respawn failed: {exc}"
-                )
+                self._fail(worker, f"respawn failed: {exc}")
                 return
             with self._lock:
                 worker.quarantined = False
@@ -612,7 +413,7 @@ class Supervisor(OccurrenceEstimator):
         worker = self._workers[index]
         with self._lock:
             worker.condemned = False
-            worker.failures = []
+            worker.respawn_times = []
             worker.retry_at = 0.0
         self._try_respawn(worker)
         if worker.quarantined:
@@ -620,23 +421,22 @@ class Supervisor(OccurrenceEstimator):
                 f"worker {index} failed to revive: {worker.reason}"
             )
 
-    def _heartbeat(self, worker: _Worker) -> None:
+    def _heartbeat(self, worker: PipeWorker) -> None:
         if self._injector is not None and self._injector.dropping(
             "heartbeat"
         ):
             self.stats["heartbeat_failures"] += 1
-            self._note_failure(worker, "heartbeat lost")
+            self._fail(worker, "heartbeat lost")
             return
         try:
-            value, reason, ok = self._roundtrip(
-                worker, "ping", (), self._heartbeat_timeout,
-                lock_timeout=self._heartbeat_interval,
-            )
+            value, reason = pipe_round(
+                [worker], ("ping",), self._heartbeat_timeout, self._fail
+            )[0]
         except ReproError:
-            ok, value, reason = False, None, "worker error"
-        if not ok and reason == "worker busy past deadline":
+            value, reason = None, "worker error"
+        if reason == BUSY:
             return  # a long in-flight query holds the pipe; not a failure
-        if not ok or value != "pong":
+        if value != "pong":
             self.stats["heartbeat_failures"] += 1
 
     def _monitor_loop(self) -> None:
@@ -714,7 +514,7 @@ class Supervisor(OccurrenceEstimator):
         as-is: crash-only recovery, not rollback, is the contract then.
         """
         self._ensure_workers(len(generation.segments))
-        attached: List[_Worker] = []
+        attached: List[PipeWorker] = []
         try:
             for i, ref in enumerate(generation.segments):
                 self._crash_point("flip_attach")
@@ -798,13 +598,6 @@ class Supervisor(OccurrenceEstimator):
 
     # -- counting -------------------------------------------------------------
 
-    @staticmethod
-    def _remaining(deadline: Optional[Deadline]) -> Optional[float]:
-        if deadline is None:
-            return None
-        remaining = deadline.remaining()
-        return None if not math.isfinite(remaining) else remaining
-
     def _admit(self) -> Generation:
         with self._lock:
             if self._closed:
@@ -826,66 +619,24 @@ class Supervisor(OccurrenceEstimator):
             self._inflight[generation.number] = max(0, n - 1)
             self._drain_cond.notify_all()
 
-    def _segment_answers(
-        self,
-        generation: Generation,
-        op: str,
-        payload: Any,
-        deadline: Optional[Deadline],
-    ) -> List[Tuple[Any, Optional[Any], str]]:
-        """One round over the generation's segments: ``(ref, value |
-        None, degraded_reason)`` per segment."""
-        remaining = self._remaining(deadline)
-        timeout = self._worker_timeout
-        if remaining is not None:
-            timeout = min(timeout, remaining + _DEADLINE_GRACE)
-        out: List[Tuple[Any, Optional[Any], str]] = []
-        for i, ref in enumerate(generation.segments):
-            worker = self._workers[i]
-            if not worker.serving():
-                out.append(
-                    (ref, None, worker.reason or "worker not serving")
-                )
-                continue
-            value, reason, ok = self._roundtrip(
-                worker, op, (generation.number, payload, remaining),
-                timeout,
-            )
-            out.append((ref, value, "" if ok else reason))
-        return out
+    def _targets(self, generation: Generation):
+        return list(zip(generation.segments, self._workers))
+
+    def _round(self, slots, op, payload, deadline, generation):
+        remaining, window = round_window(deadline, self._worker_timeout)
+        return pipe_round(
+            slots, (op, generation.number, payload, remaining), window,
+            self._fail,
+        )
 
     def _merge(
         self,
-        generation: Generation,
-        triples: Sequence[Tuple[Any, Optional[Any], str]],
+        answers: Sequence[ShardAnswer],
         pattern_length: int,
+        generation: Generation,
     ) -> DaemonAnswer:
         """Fold per-segment answers: shard merge + tombstone widening +
         exact delta, mirroring ``LiveCorpus.count_interval``."""
-        answers: List[ShardAnswer] = []
-        for ref, value, reason in triples:
-            if reason:
-                answers.append(
-                    ShardAnswer(
-                        shard=ref.name,
-                        model=None,
-                        threshold=ref.threshold,
-                        value=None,
-                        ceiling=ref.ceiling(pattern_length),
-                        degraded=True,
-                        reason=reason,
-                    )
-                )
-            else:
-                answers.append(
-                    ShardAnswer(
-                        shard=ref.name,
-                        model=ref.model,
-                        threshold=ref.threshold,
-                        value=value,
-                        ceiling=ref.ceiling(pattern_length),
-                    )
-                )
         widening = generation.widening(pattern_length)
         base = [a for a in answers if a.shard != DELTA_SEGMENT]
         delta = [a for a in answers if a.shard == DELTA_SEGMENT]
@@ -928,60 +679,30 @@ class Supervisor(OccurrenceEstimator):
         :meth:`_flip` — demoting stale exact counts before the new
         generation serves a single query.
         """
-        self._hot = hot
+        super().attach_hot(hot)
         self._corpus.attach_hot(hot)
 
-    def _hot_short_circuit(
-        self, generation: Generation, pattern: str
-    ) -> Optional[DaemonAnswer]:
-        hot = self._hot
-        if hot is None:
-            return None
-        exact = hot.lookup_exact(pattern)
-        if exact is None:
-            return None
-        c = int(exact)
+    def _exact(self, count: int, generation: Generation) -> DaemonAnswer:
         with self._lock:
             self.stats["hot_hits"] += 1
         return DaemonAnswer(
             generation=generation.number,
-            lo=c,
-            hi=c,
+            lo=count,
+            hi=count,
             error_model=ErrorModel.EXACT,
             threshold=1,
             widening=0,
             degraded=(),
         )
 
-    def _hot_feedback(self, pattern: str, answer: DaemonAnswer) -> None:
-        hot = self._hot
-        if hot is None:
-            return
-        try:
-            model = (
-                ErrorModel.EXACT if answer.exact else answer.error_model
-            )
-            hot.observe(pattern, answer.count, model)
-        except Exception:  # noqa: BLE001 - feedback must never break serving
-            pass
-
     def merged_count(
         self, pattern: str, deadline: Optional[Deadline] = None
     ) -> DaemonAnswer:
         """One pattern against the currently admitting generation."""
-        if not isinstance(pattern, str) or not pattern:
-            raise PatternError("pattern must be a non-empty string")
+        check_patterns([pattern])
         generation = self._admit()
         try:
-            hot_hit = self._hot_short_circuit(generation, pattern)
-            if hot_hit is not None:
-                return hot_hit
-            triples = self._segment_answers(
-                generation, "count", pattern, deadline
-            )
-            answer = self._merge(generation, triples, len(pattern))
-            self._hot_feedback(pattern, answer)
-            return answer
+            return self._gather([pattern], deadline, False, generation)[0]
         finally:
             self._finish(generation)
 
@@ -992,41 +713,12 @@ class Supervisor(OccurrenceEstimator):
         answer stamped with the single generation the batch was admitted
         under (the batch never straddles a flip)."""
         patterns = list(patterns)
-        for pattern in patterns:
-            if not isinstance(pattern, str) or not pattern:
-                raise PatternError("patterns must be non-empty strings")
+        check_patterns(patterns)
         if not patterns:
             return []
         generation = self._admit()
         try:
-            results: List[Optional[DaemonAnswer]] = [None] * len(patterns)
-            cold: List[int] = []
-            for qi, pattern in enumerate(patterns):
-                hit = self._hot_short_circuit(generation, pattern)
-                if hit is not None:
-                    results[qi] = hit
-                else:
-                    cold.append(qi)
-            if cold:
-                shipped = [patterns[qi] for qi in cold]
-                triples = self._segment_answers(
-                    generation, "count_many", shipped, deadline
-                )
-                for ci, qi in enumerate(cold):
-                    pattern = patterns[qi]
-                    per_query = [
-                        (
-                            ref,
-                            None if values is None else values[ci],
-                            reason
-                            or ("" if values is not None else "no batch answer"),
-                        )
-                        for ref, values, reason in triples
-                    ]
-                    answer = self._merge(generation, per_query, len(pattern))
-                    self._hot_feedback(pattern, answer)
-                    results[qi] = answer
-            return [r for r in results if r is not None]
+            return self._gather(patterns, deadline, True, generation)
         finally:
             self._finish(generation)
 
@@ -1068,28 +760,10 @@ class Supervisor(OccurrenceEstimator):
         generation = self.generation
         return 0 if generation is None else generation.text_length
 
-    def count(self, pattern: str) -> int:
-        return self.merged_count(pattern).count
-
     def count_many(
         self, patterns: "list[str] | tuple[str, ...]"
     ) -> List[int]:
         return [a.count for a in self.merged_count_many(patterns)]
-
-    def count_interval(
-        self, pattern: str, deadline: Optional[Deadline] = None
-    ) -> Tuple[int, int]:
-        answer = self.merged_count(pattern, deadline)
-        return (answer.lo, answer.hi)
-
-    def count_or_none(
-        self, pattern: str, deadline: Optional[Deadline] = None
-    ) -> Optional[int]:
-        answer = self.merged_count(pattern, deadline)
-        return answer.lo if answer.exact else None
-
-    def is_reliable(self, pattern: str) -> bool:
-        return self.count_or_none(pattern) is not None
 
     def space_report(self) -> SpaceReport:
         """Shared blocks once per host; workers add only bookkeeping."""

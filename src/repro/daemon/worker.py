@@ -1,13 +1,14 @@
-"""Daemon worker process: serve any attached generation over one pipe.
+"""Shard worker process: serve any attached generation over one pipe.
 
-The daemon worker generalises the PR 7 shard worker
-(:func:`repro.parallel.executor._worker_main`) in one dimension: instead
-of attaching a single segment at spawn and serving it forever, it holds
-a **map of generations** — ``generation number -> attached estimator`` —
-and every count request names the generation it was admitted under. That
-is what makes hot reload a flip instead of a fleet restart: the
-supervisor attaches G+1 while G keeps serving, switches admission, and
-releases G only after its last in-flight query finished.
+Every process-backed executor runs this one entry point. A worker holds
+a **map of generations** — ``generation number -> attached estimator``
+— and every count request names the generation it was admitted under.
+The daemon supervisor uses that to hot reload by a flip instead of a
+fleet restart: it attaches G+1 while G keeps serving, switches
+admission, and releases G only after its last in-flight query finished.
+:class:`~repro.parallel.executor.ProcessShardedEstimator` attaches its
+one fixed segment set as a single generation and never flips. The
+parent side of the protocol is :mod:`repro.shard.pipe`.
 
 Protocol (requests/replies are plain tuples; replies carry the request
 id so the parent can detect desync):
@@ -23,10 +24,20 @@ request                                         reply
 ``("stop",)``                                   worker exits
 ==============================================  ===============================
 
+A count answers under the shard's own model (``count_or_none`` for
+lower-sided shards, ``count`` otherwise); ``count_many`` answers the
+whole batch in one round trip through the attachment's memoising
+counter. A request that raises replies ``(id, "err", type_name,
+message)``.
+
 An ``attach`` parses the shared segment with full digest verification —
 a torn or corrupt generation is rejected with ``(id, "err", ...)``
 *before* it could ever answer a query, which is the worker-side half of
-the "no torn generation serves" invariant. ``release`` drops the
+the "no torn generation serves" invariant. Its telemetry reports the
+segment size and the index's space report; a worker's first attach
+also reports the bytes the attach itself allocated (``tracemalloc``
+brackets it; the zero-copy tests assert this stays far below the
+segment size). ``release`` drops the
 attachment and closes the shared-memory mapping (best effort: if numpy
 views are still referenced the mapping stays until process exit, which
 is harmless — the parent's ``unlink`` removes the name either way).
@@ -35,25 +46,11 @@ is harmless — the parent's ``unlink`` removes the name either way).
 from __future__ import annotations
 
 import gc
+import tracemalloc
 from multiprocessing.connection import Connection
 from typing import Any, Dict, Optional
 
-from ..errors import (
-    DeadlineExceededError,
-    IndexCorruptedError,
-    InvalidParameterError,
-    PatternError,
-    ReproError,
-)
-
-#: Errors a worker may legitimately report; re-raised by name in the parent.
-ERROR_TYPES: Dict[str, type] = {
-    "DeadlineExceededError": DeadlineExceededError,
-    "PatternError": PatternError,
-    "InvalidParameterError": InvalidParameterError,
-    "IndexCorruptedError": IndexCorruptedError,
-    "ReproError": ReproError,
-}
+from ..errors import InvalidParameterError
 
 
 class _Attachment:
@@ -113,14 +110,25 @@ def daemon_worker_main(conn: Connection, max_states: int) -> None:
                         raise InvalidParameterError(
                             f"generation {gen} already attached"
                         )
-                    shm, segment = attach_shared_segment(
-                        shm_name, verify=True
-                    )
+                    # Only a worker's first attach is traced: that is the
+                    # zero-copy evidence, and tracing every daemon flip's
+                    # attach would triple its cost.
+                    traced = not attachments
+                    if traced:
+                        tracemalloc.start()
                     try:
-                        estimator = segment.attach("index")
-                    except Exception:
-                        shm.close()
-                        raise
+                        shm, segment = attach_shared_segment(
+                            shm_name, verify=True
+                        )
+                        try:
+                            estimator = segment.attach("index")
+                        except Exception:
+                            shm.close()
+                            raise
+                        allocated, _ = tracemalloc.get_traced_memory()
+                    finally:
+                        if traced:
+                            tracemalloc.stop()
                     attachments[gen] = _Attachment(
                         shm,
                         estimator,
@@ -129,10 +137,15 @@ def daemon_worker_main(conn: Connection, max_states: int) -> None:
                         ),
                         estimator.error_model is ErrorModel.LOWER_SIDED,
                     )
+                    report = estimator.space_report()
                     result: Any = {
                         "segment_bytes": segment.nbytes,
+                        "space_components": dict(report.components),
+                        "space_overhead": dict(report.overhead),
                         "generations": sorted(attachments),
                     }
+                    if traced:
+                        result["attach_alloc_bytes"] = allocated
                 elif op == "release":
                     _, _, gen = msg
                     attachment = attachments.pop(gen, None)

@@ -187,6 +187,8 @@ class LiveCorpus(OccurrenceEstimator):
     process may own a directory at a time.
     """
 
+    accepts_deadline = True
+
     def __init__(
         self,
         directory: Path,
@@ -580,10 +582,12 @@ class LiveCorpus(OccurrenceEstimator):
             shard_hi + delta_count,
         )
 
-    def count(self, pattern: str) -> int:
+    def count(
+        self, pattern: str, deadline: Optional[Deadline] = None
+    ) -> int:
         """The served scalar: the interval's upper end (over-counts,
         never under-counts — the merge-wide soundness convention)."""
-        return self.count_interval(pattern)[1]
+        return self.count_interval(pattern, deadline)[1]
 
     def count_or_none(
         self, pattern: str, deadline: Optional[Deadline] = None

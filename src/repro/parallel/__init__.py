@@ -9,10 +9,10 @@ Three layers, each usable alone:
   into a named shared-memory block exactly once per host;
   :func:`attach_shared_segment` is the worker-side open.
 * :mod:`repro.parallel.executor` — :class:`ProcessShardedEstimator`, the
-  multiprocess sibling of the thread-pooled
+  multiprocess sibling of the in-process
   :class:`~repro.shard.estimator.ShardedEstimator`: ``k`` worker
   processes attached to shared segments, a batched pipe protocol, and
-  the same merge algebra and quarantine lifecycle.
+  the same fan-out core, merge algebra and quarantine lifecycle.
 * :mod:`repro.parallel.asyncserver` — :class:`AsyncQueryServer`, the
   asyncio front over a degradation ladder (await-based admission,
   bulkheads and hedging).

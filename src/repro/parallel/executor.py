@@ -1,42 +1,27 @@
 """Process-parallel sharded serving over shared-memory segments.
 
 :class:`ProcessShardedEstimator` is the multiprocess sibling of
-:class:`~repro.shard.estimator.ShardedEstimator`: the same
-:class:`~repro.core.interface.OccurrenceEstimator` interface, the same
-per-shard answer semantics, the same
-:func:`~repro.shard.merge.merge_answers` error algebra — but each shard's
-index lives in a **worker process** that attached the shard's shared
-segment (:mod:`repro.parallel.pool`) as zero-copy views. The parent holds
-no index at all: only the segment headers' serving metadata (error model,
-threshold, text length, alphabet), which is exactly what the merge needs.
+:class:`~repro.shard.estimator.ShardedEstimator`: the same fan-out core
+(:mod:`repro.shard.fanout`), the same per-shard answer semantics, the
+same :func:`~repro.shard.merge.merge_answers` error algebra — but each
+shard's index lives in a **worker process** that attached the shard's
+shared segment (:mod:`repro.parallel.pool`) as zero-copy views. The
+parent holds no index at all: only the segment headers' serving metadata
+(error model, threshold, text length, alphabet), which is exactly what
+the merge needs.
 
-Protocol (one duplex pipe per worker; requests and replies are plain
-tuples):
-
-======================================  =======================================
-request                                 reply
-======================================  =======================================
-``("count", id, pattern, remaining)``   ``(id, "ok", value)`` — the shard's
-                                        raw answer under its own model
-                                        (``count_or_none`` for lower-sided
-                                        shards, ``count`` otherwise)
-``("count_many", id, patterns, rem)``   ``(id, "ok", [value, ...])`` — the
-                                        whole batch in one round trip,
-                                        memoised through the worker's
-                                        :class:`~repro.batch.SuffixSharingCounter`
-``("ping", id)``                        ``(id, "ok", "pong")``
-``("stop",)``                           worker exits
-======================================  =======================================
-
-A worker that raises replies ``(id, "err", type_name, message)`` and the
-parent re-raises (mirroring the thread executor: a live shard's failure
+Workers run the daemon worker protocol (:mod:`repro.daemon.worker`):
+each attaches its shard's segment as one fixed generation, and every
+round goes through the shared pipe client (:mod:`repro.shard.pipe`),
+which sends to every worker before it collects any reply. A worker that
+reports an error makes the parent re-raise (a live shard's failure
 propagates, it never silently degrades). A worker that **dies** — pipe
-EOF, poll timeout, process gone — is quarantined through the same
-lifecycle the thread version exposes: its contribution degrades to the
-trivial ceiling, the merged model drops to ``UPPER_BOUND``, and the
-remaining shards keep serving. :meth:`ProcessShardedEstimator.respawn_shard`
-starts a fresh worker against the same shared segment (nothing to
-rebuild: the index bytes never left shared memory).
+EOF, no reply within the round's window, process gone — is quarantined:
+its contribution degrades to the trivial ceiling, the merged model
+drops to ``UPPER_BOUND``, and the remaining shards keep serving.
+:meth:`ProcessShardedEstimator.respawn_shard` starts a fresh worker
+against the same shared segment (nothing to rebuild: the index bytes
+never left shared memory).
 
 Workers are started with the ``spawn`` method: nothing is inherited from
 the parent, so the only way a worker can answer is through the shared
@@ -45,184 +30,35 @@ segment — which is the zero-copy claim the differential tests pin down.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
-import random
 import time
-from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.interface import ErrorModel, OccurrenceEstimator
-from ..errors import (
-    DeadlineExceededError,
-    InvalidParameterError,
-    PatternError,
-    ReproError,
-)
+from ..core.interface import OccurrenceEstimator
+from ..errors import InvalidParameterError, ReproError
 from ..service.deadline import Deadline
+from ..shard.fanout import BackoffPolicy, ShardFanOut, check_patterns
+from ..shard.merge import MergedCount
+from ..shard.pipe import PipeWorker, pipe_round, round_window
 from ..space import SpaceReport
-from ..shard.merge import (
-    MergedCount,
-    ShardAnswer,
-    hot_feedback,
-    hot_short_circuit,
-    merge_answers,
-    merged_threshold,
-)
-from ..textutil import Alphabet
-from .pool import SegmentPool, attach_shared_segment
+from .pool import SegmentPool
 from .segment import write_estimator_segment
 
-#: Extra wall-clock granted past a query's own deadline before the parent
-#: declares the worker dead rather than merely slow.
-_DEADLINE_GRACE = 0.25
-
-#: Errors a worker may legitimately report; re-raised by name in the parent.
-_ERROR_TYPES: Dict[str, type] = {
-    "DeadlineExceededError": DeadlineExceededError,
-    "PatternError": PatternError,
-    "InvalidParameterError": InvalidParameterError,
-}
+#: The generation number every worker attaches its one segment under.
+_GENERATION = 0
 
 
-def _worker_main(shm_name: str, conn: Connection, max_states: int) -> None:
-    """Worker entry point: attach the segment, serve the pipe protocol.
-
-    Runs in a spawned process. ``tracemalloc`` brackets the attach so the
-    handshake can report how many bytes attaching actually allocated —
-    the zero-copy acceptance test asserts this stays far below the
-    segment payload size.
-    """
-    import tracemalloc
-
-    from ..batch import SuffixSharingCounter
-
-    try:
-        tracemalloc.start()
-        before, _ = tracemalloc.get_traced_memory()
-        shm, segment = attach_shared_segment(shm_name)
-        estimator = segment.attach("index")
-        after, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        counter = SuffixSharingCounter(estimator, max_states=max_states)
-        lower_sided = estimator.error_model is ErrorModel.LOWER_SIDED
-        report = estimator.space_report()
-        conn.send((
-            "ready",
-            {
-                "segment_bytes": segment.nbytes,
-                "attach_alloc_bytes": max(0, after - before),
-                "space_name": report.name,
-                "space_components": dict(report.components),
-                "space_overhead": dict(report.overhead),
-            },
-        ))
-    except Exception as exc:  # noqa: BLE001 - handshake boundary
-        try:
-            conn.send(("failed", type(exc).__name__, str(exc)))
-        finally:
-            conn.close()
-        return
-
-    def answer_one(pattern: str, remaining: Optional[float]) -> Optional[int]:
-        sub = None if remaining is None else Deadline(remaining)
-        if lower_sided:
-            return counter.count_or_none(pattern, sub)
-        return counter.count(pattern, sub)
-
-    def answer_many(
-        patterns: Sequence[str], remaining: Optional[float]
-    ) -> List[Optional[int]]:
-        # One shared sub-deadline for the whole batch: the counter's
-        # planner shares suffix work (and fires vectorized step_many
-        # waves) across the batch instead of query-at-a-time.
-        sub = None if remaining is None else Deadline(remaining)
-        if lower_sided:
-            return counter.count_or_none_many(patterns, sub)
-        return list(counter.count_many(patterns, sub))
-
-    try:
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "stop":
-                break
-            req_id = msg[1]
-            try:
-                if op == "count":
-                    _, _, pattern, remaining = msg
-                    result: Any = answer_one(pattern, remaining)
-                elif op == "count_many":
-                    _, _, patterns, remaining = msg
-                    result = answer_many(patterns, remaining)
-                elif op == "ping":
-                    result = "pong"
-                else:
-                    raise InvalidParameterError(f"unknown op {op!r}")
-            except Exception as exc:  # noqa: BLE001 - protocol boundary
-                conn.send((req_id, "err", type(exc).__name__, str(exc)))
-            else:
-                conn.send((req_id, "ok", result))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # parent went away (or is tearing us down): just exit
-    finally:
-        conn.close()
-        # The attached structures hold live views into shm — a regular
-        # interpreter teardown would trip over the exported buffers
-        # (BufferError from SharedMemory.close). The process is done
-        # serving; exit immediately and let the OS drop the mapping.
-        import os
-
-        os._exit(0)
-
-
-class _WorkerSlot:
-    """One shard's serving state: segment handle, worker process, pipe."""
-
-    __slots__ = (
-        "name", "shm_name", "segment_bytes", "model", "threshold",
-        "text_length", "characters", "process", "conn", "quarantined",
-        "reason", "handshake", "respawns", "respawn_times",
-    )
-
-    def __init__(self, name: str, shm_name: str, meta: Mapping[str, Any]):
-        self.name = name
-        self.shm_name = shm_name
-        self.segment_bytes = 0
-        self.model = ErrorModel(meta["error_model"])
-        self.threshold = int(meta["threshold"])
-        self.text_length = int(meta["text_length"])
-        self.characters = str(meta["characters"])
-        self.process: Optional[mp.process.BaseProcess] = None
-        self.conn: Optional[Connection] = None
-        self.quarantined = False
-        self.reason = ""
-        self.handshake: Dict[str, Any] = {}
-        self.respawns = 0
-        self.respawn_times: List[float] = []
-
-    def ceiling(self, pattern_length: int) -> int:
-        return max(0, self.text_length - pattern_length + 1)
-
-    def alive(self) -> bool:
-        return (
-            self.process is not None
-            and self.process.is_alive()
-            and self.conn is not None
-        )
-
-
-class ProcessShardedEstimator(OccurrenceEstimator):
+class ProcessShardedEstimator(ShardFanOut):
     """``k`` shard indexes served by worker processes over shared segments.
 
     Construct from serialised segments (``name -> bytes``, e.g. from
     :func:`~repro.parallel.segment.write_estimator_segment` or loaded
     from disk), or directly from live estimators via
     :meth:`from_estimators`. Intervals, scalars and the error-model
-    algebra are identical to the thread-pooled
+    algebra are identical to the in-process
     :class:`~repro.shard.estimator.ShardedEstimator` over the same shard
     indexes — the differential tests and the parallel benchmark assert
-    exactly that.
+    exactly that. ``backoff`` budgets :meth:`respawn_shard`.
 
     Always :meth:`close` (or use as a context manager): the estimator
     owns worker processes and shared-memory blocks.
@@ -235,62 +71,29 @@ class ProcessShardedEstimator(OccurrenceEstimator):
         max_states: int = 4096,
         worker_timeout: float = 60.0,
         start_method: str = "spawn",
-        respawn_base: float = 0.05,
-        respawn_cap: float = 2.0,
-        respawn_limit: int = 5,
-        respawn_window: float = 60.0,
-        respawn_seed: int = 0,
+        backoff: Optional[BackoffPolicy] = None,
     ):
         items = (
             list(segments.items())
             if isinstance(segments, Mapping)
             else list(segments)
         )
-        if not items:
-            raise InvalidParameterError(
-                "a process-sharded estimator needs >= 1 segment"
-            )
-        names = [name for name, _ in items]
-        if len(set(names)) != len(names):
-            raise InvalidParameterError(f"shard names must be unique: {names}")
         if worker_timeout <= 0:
             raise InvalidParameterError(
                 f"worker_timeout must be > 0, got {worker_timeout}"
             )
-        if respawn_base < 0 or respawn_cap < 0:
-            raise InvalidParameterError(
-                "respawn_base and respawn_cap must be >= 0"
-            )
-        if respawn_limit < 1:
-            raise InvalidParameterError(
-                f"respawn_limit must be >= 1, got {respawn_limit}"
-            )
-        if respawn_window <= 0:
-            raise InvalidParameterError(
-                f"respawn_window must be > 0, got {respawn_window}"
-            )
+        super().__init__([PipeWorker(name) for name, _ in items], [])
         self._ctx = mp.get_context(start_method)
         self._max_states = max_states
         self._worker_timeout = worker_timeout
-        self._respawn_base = respawn_base
-        self._respawn_cap = respawn_cap
-        self._respawn_limit = respawn_limit
-        self._respawn_window = respawn_window
-        self._respawn_rng = random.Random(respawn_seed)
+        self._backoff = backoff or BackoffPolicy()
         self._pool = SegmentPool()
-        self._slots: List[_WorkerSlot] = []
-        self._alphabet: Optional[Alphabet] = None
         self._closed = False
-        self._req_counter = 0
-        self._hot = None
         try:
             for name, blob in items:
-                published = self._pool.publish(name, blob)
-                slot = _WorkerSlot(name, published.shm_name, published.meta)
-                slot.segment_bytes = published.nbytes
-                self._slots.append(slot)
+                self._refs.append(self._pool.publish(name, blob).ref)
             for slot in self._slots:
-                self._spawn(slot)
+                self._start(slot)
         except Exception:
             self.close()
             raise
@@ -314,56 +117,23 @@ class ProcessShardedEstimator(OccurrenceEstimator):
 
     # -- worker lifecycle -----------------------------------------------------
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(slot.shm_name, child_conn, self._max_states),
-            name=f"repro-shard-{slot.name}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(self._worker_timeout):
-            process.terminate()
+    def _start(self, slot: PipeWorker) -> None:
+        """Spawn a worker for ``slot`` and attach its shard's segment."""
+        slot.spawn(self._ctx, self._max_states, self._worker_timeout)
+        ref = self._refs[self._slots.index(slot)]
+        telemetry, reason = pipe_round(
+            [slot], ("attach", _GENERATION, ref.shm_name),
+            self._worker_timeout, self._fail,
+        )[0]
+        if reason:
             raise ReproError(
-                f"worker for shard {slot.name!r} did not complete its "
-                "attach handshake"
+                f"worker for shard {slot.name!r} could not attach its "
+                f"segment: {reason}"
             )
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            process.join(timeout=1.0)
-            raise ReproError(
-                f"worker for shard {slot.name!r} died during its attach "
-                f"handshake (exit code {process.exitcode})"
-            ) from exc
-        if reply[0] != "ready":
-            process.join(timeout=1.0)
-            raise ReproError(
-                f"worker for shard {slot.name!r} failed to attach: "
-                f"{reply[1]}: {reply[2]}"
-            )
-        slot.process = process
-        slot.conn = parent_conn
-        slot.handshake = reply[1]
-        slot.quarantined = False
-        slot.reason = ""
-
-    def _kill(self, slot: _WorkerSlot) -> None:
-        if slot.conn is not None:
-            try:
-                slot.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            slot.conn.close()
-            slot.conn = None
-        if slot.process is not None:
-            slot.process.join(timeout=1.0)
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=1.0)
-            slot.process = None
+        slot.attached[_GENERATION] = telemetry
+        with self._lock:
+            slot.quarantined = False
+            slot.reason = ""
 
     def close(self) -> None:
         """Stop every worker and unlink the shared segments. Idempotent."""
@@ -371,7 +141,7 @@ class ProcessShardedEstimator(OccurrenceEstimator):
             return
         self._closed = True
         for slot in self._slots:
-            self._kill(slot)
+            slot.kill()
         self._pool.close()
 
     def __enter__(self) -> "ProcessShardedEstimator":
@@ -386,130 +156,44 @@ class ProcessShardedEstimator(OccurrenceEstimator):
         except Exception:
             pass
 
-    # -- estimator interface --------------------------------------------------
-
-    @property
-    def error_model(self) -> ErrorModel:  # type: ignore[override]
-        """Same dynamic algebra as the thread executor: any quarantined
-        shard forces UPPER_BOUND; all-exact shards merge exactly."""
-        if any(slot.quarantined for slot in self._slots):
-            return ErrorModel.UPPER_BOUND
-        models = [slot.model for slot in self._slots]
-        if any(m is ErrorModel.UPPER_BOUND for m in models):
-            return ErrorModel.UPPER_BOUND
-        if all(m is ErrorModel.EXACT for m in models):
-            return ErrorModel.EXACT
-        return ErrorModel.UNIFORM
-
-    @property
-    def threshold(self) -> int:
-        return merged_threshold([slot.threshold for slot in self._slots])
-
-    @property
-    def alphabet(self) -> Alphabet:
-        if self._alphabet is None:
-            characters: set = set()
-            for slot in self._slots:
-                characters.update(slot.characters)
-            self._alphabet = Alphabet(characters)
-        return self._alphabet
-
-    @property
-    def text_length(self) -> int:
-        return sum(slot.text_length for slot in self._slots)
-
-    @property
-    def shard_names(self) -> List[str]:
-        return [slot.name for slot in self._slots]
-
-    @property
-    def k(self) -> int:
-        return len(self._slots)
-
-    @property
-    def degraded_shards(self) -> Tuple[str, ...]:
-        return tuple(slot.name for slot in self._slots if slot.quarantined)
-
-    # -- shard lifecycle ------------------------------------------------------
-
-    def _slot(self, name: str) -> _WorkerSlot:
-        for slot in self._slots:
-            if slot.name == name:
-                return slot
-        raise InvalidParameterError(
-            f"unknown shard {name!r} (have {self.shard_names})"
-        )
-
-    def quarantine_shard(self, name: str, reason: str = "") -> None:
-        """Pull one shard out of service; the others keep answering."""
-        slot = self._slot(name)
-        slot.quarantined = True
-        slot.reason = reason
-
-    def readmit_shard(self, name: str) -> None:
-        """Return a (still-alive) shard to service.
-
-        Liveness is proven by a protocol ping, not by process state: a
+    def _responsive(self, slot: PipeWorker) -> bool:
+        """Liveness is proven by a protocol ping, not by process state: a
         freshly SIGKILLed worker can report alive for a moment (its pipe
         is at EOF before the zombie is reapable), and a wedged worker is
-        alive but useless. Only a worker that answers gets readmitted.
-        """
-        slot = self._slot(name)
-        if not slot.alive() or not self._ping(slot):
-            raise InvalidParameterError(
-                f"shard {name!r} has no responsive worker; use respawn_shard"
-            )
-        slot.quarantined = False
-        slot.reason = ""
-
-    def _ping(self, slot: _WorkerSlot, timeout: float = 1.0) -> bool:
-        """One health round trip; quarantines (and reports False) on death."""
-        self._req_counter += 1
-        req_id = self._req_counter
-        if not self._dispatch(slot, ("ping", req_id)):
-            return False
+        alive but useless. Only a worker that answers gets readmitted."""
         try:
-            return self._collect(slot, req_id, timeout) == "pong"
+            value, _ = pipe_round([slot], ("ping",), 1.0, self._fail)[0]
         except ReproError:
             return False
+        return value == "pong"
 
     def respawn_shard(self, name: str) -> None:
         """Replace a dead or wedged worker with a fresh one attached to
         the *same* shared segment (the index bytes never left memory).
 
-        Respawns are budgeted: each attempt inside ``respawn_window``
-        seconds sleeps a jittered exponential delay
-        (``min(cap, base * 2^attempt) * U[0.5, 1.0]``) before spawning,
-        and once ``respawn_limit`` attempts land inside the window the
-        shard is quarantined and a :class:`~repro.errors.ReproError`
-        raised instead — a crash-looping worker degrades to its sound
-        ceiling rather than respawn-storming the host.
+        Respawns are budgeted by the ``backoff`` policy: each one waits
+        its jittered exponential delay before spawning, and once the
+        window's budget is spent the shard is quarantined and a
+        :class:`~repro.errors.ReproError` raised instead — a
+        crash-looping worker degrades to its sound ceiling rather than
+        respawn-storming the host.
         """
         slot = self._slot(name)
-        now = time.monotonic()
-        slot.respawn_times = [
-            t for t in slot.respawn_times if now - t < self._respawn_window
-        ]
-        if len(slot.respawn_times) >= self._respawn_limit:
-            self.quarantine_shard(
-                name,
-                f"respawn budget exhausted ({self._respawn_limit} respawns "
-                f"within {self._respawn_window:.0f}s)",
+        delay = self._backoff.spend(slot.respawn_times, time.monotonic())
+        if delay is None:
+            budget = (
+                f"{self._backoff.max_failures} respawns within "
+                f"{self._backoff.window:.0f}s"
             )
+            self.quarantine_shard(name, f"respawn budget exhausted ({budget})")
             raise ReproError(
-                f"shard {name!r} exhausted its respawn budget "
-                f"({self._respawn_limit} within {self._respawn_window:.0f}s); "
+                f"shard {name!r} exhausted its respawn budget ({budget}); "
                 "it stays quarantined (degraded upper-bound answers)"
             )
-        attempt = len(slot.respawn_times)
-        delay = min(self._respawn_cap, self._respawn_base * (2 ** attempt))
-        delay *= 0.5 + 0.5 * self._respawn_rng.random()
-        if delay > 0:
-            time.sleep(delay)
-        slot.respawn_times.append(time.monotonic())
+        time.sleep(delay)
         slot.respawns += 1
-        self._kill(slot)
-        self._spawn(slot)
+        slot.kill()
+        self._start(slot)
 
     def respawn_telemetry(self) -> Dict[str, Dict[str, float]]:
         """Per-shard respawn accounting: lifetime attempts, attempts in
@@ -517,15 +201,12 @@ class ProcessShardedEstimator(OccurrenceEstimator):
         now = time.monotonic()
         out: Dict[str, Dict[str, float]] = {}
         for slot in self._slots:
-            windowed = [
-                t for t in slot.respawn_times
-                if now - t < self._respawn_window
-            ]
+            windowed = self._backoff.in_window(slot.respawn_times, now)
             out[slot.name] = {
                 "respawns": slot.respawns,
-                "window_respawns": len(windowed),
+                "window_respawns": windowed,
                 "budget_remaining": max(
-                    0, self._respawn_limit - len(windowed)
+                    0, self._backoff.max_failures - windowed
                 ),
             }
         return out
@@ -537,153 +218,23 @@ class ProcessShardedEstimator(OccurrenceEstimator):
 
     # -- counting -------------------------------------------------------------
 
-    @staticmethod
-    def _remaining(deadline: Optional[Deadline]) -> Optional[float]:
-        if deadline is None:
-            return None
-        remaining = deadline.remaining()
-        return None if not math.isfinite(remaining) else remaining
-
-    def _degraded_answer(
-        self, slot: _WorkerSlot, pattern_length: int, reason: str
-    ) -> ShardAnswer:
-        return ShardAnswer(
-            shard=slot.name,
-            model=None,
-            threshold=slot.threshold,
-            value=None,
-            ceiling=slot.ceiling(pattern_length),
-            degraded=True,
-            reason=reason,
+    def _round(self, slots, op, payload, deadline, context):
+        remaining, window = round_window(deadline, self._worker_timeout)
+        return pipe_round(
+            slots, (op, _GENERATION, payload, remaining), window, self._fail
         )
 
-    def _dispatch(
-        self, slot: _WorkerSlot, request: Tuple[Any, ...]
-    ) -> bool:
-        """Send one request; on a dead pipe, quarantine and report False."""
-        assert slot.conn is not None
-        try:
-            slot.conn.send(request)
-            return True
-        except (BrokenPipeError, OSError) as exc:
-            self.quarantine_shard(
-                slot.name, f"worker pipe broken: {type(exc).__name__}"
-            )
-            return False
-
-    def _collect(
-        self, slot: _WorkerSlot, req_id: int, timeout: float
-    ) -> Any:
-        """Receive the reply for ``req_id``; quarantine on death/timeout.
-
-        Returns the payload, or ``None`` with the slot quarantined. Worker
-        *errors* re-raise (a live shard's failure must propagate, exactly
-        as in the thread executor).
-        """
-        assert slot.conn is not None
-        try:
-            if not slot.conn.poll(timeout):
-                alive = slot.process is not None and slot.process.is_alive()
-                self.quarantine_shard(
-                    slot.name,
-                    "worker timed out" if alive else "worker died mid-query",
-                )
-                return None
-            reply = slot.conn.recv()
-        except (EOFError, OSError):
-            self.quarantine_shard(slot.name, "worker died mid-query")
-            return None
-        if reply[0] != req_id:
-            self.quarantine_shard(
-                slot.name, f"protocol desync (reply {reply[0]}, want {req_id})"
-            )
-            return None
-        if reply[1] == "err":
-            _, _, type_name, message = reply
-            raise _ERROR_TYPES.get(type_name, ReproError)(
-                f"shard {slot.name}: {message}"
-            )
-        return reply[2]
-
-    def _fan_out(
-        self,
-        op: str,
-        payload: Any,
-        deadline: Optional[Deadline],
-    ) -> List[Tuple[_WorkerSlot, Optional[Any], str]]:
-        """One protocol round over every live shard.
-
-        Sends to all workers first, then collects — the k shard searches
-        run concurrently in k processes. Returns per-slot
-        ``(slot, value_or_None, degraded_reason)`` triples.
-        """
-        remaining = self._remaining(deadline)
-        self._req_counter += 1
-        req_id = self._req_counter
-        pending: List[_WorkerSlot] = []
-        results: Dict[str, Tuple[Optional[Any], str]] = {}
-        for slot in self._slots:
-            if slot.quarantined:
-                results[slot.name] = (None, slot.reason or "quarantined")
-                continue
-            if not slot.alive():
-                self.quarantine_shard(slot.name, "worker not running")
-                results[slot.name] = (None, slot.reason)
-                continue
-            if self._dispatch(slot, (op, req_id, payload, remaining)):
-                pending.append(slot)
-            else:
-                results[slot.name] = (None, slot.reason)
-        timeout = self._worker_timeout
-        if remaining is not None:
-            timeout = min(timeout, remaining + _DEADLINE_GRACE)
-        for slot in pending:
-            value = self._collect(slot, req_id, timeout)
-            if slot.quarantined:
-                results[slot.name] = (None, slot.reason)
-            else:
-                results[slot.name] = (value, "")
-        return [
-            (slot, results[slot.name][0], results[slot.name][1])
-            for slot in self._slots
-        ]
-
-    def attach_hot(self, hot) -> None:
-        """Route through a :class:`~repro.hot.HotPatternTier`: verified
-        epoch-current counts skip the worker round trip entirely; exact
-        merges feed back to keep the store verified (the hot store lives
-        in the coordinating process — workers never see it)."""
-        self._hot = hot
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ReproError("ProcessShardedEstimator is closed")
 
     def merged_count(
         self, pattern: str, deadline: Optional[Deadline] = None
     ) -> MergedCount:
         """Fan one pattern out to every shard worker and merge."""
-        if not isinstance(pattern, str) or not pattern:
-            raise PatternError("pattern must be a non-empty string")
-        if self._closed:
-            raise ReproError("ProcessShardedEstimator is closed")
-        hot_hit = hot_short_circuit(self._hot, pattern)
-        if hot_hit is not None:
-            return hot_hit
-        p = len(pattern)
-        answers = []
-        for slot, value, reason in self._fan_out("count", pattern, deadline):
-            if slot.quarantined:
-                answers.append(self._degraded_answer(slot, p, reason))
-            else:
-                answers.append(
-                    ShardAnswer(
-                        shard=slot.name,
-                        model=slot.model,
-                        threshold=slot.threshold,
-                        value=value,
-                        ceiling=slot.ceiling(p),
-                    )
-                )
-        merged = merge_answers(answers)
-        hot_feedback(self._hot, pattern, merged)
-        return merged
+        check_patterns([pattern])
+        self._check_open()
+        return self._gather([pattern], deadline, False)[0]
 
     def merged_count_many(
         self, patterns: Sequence[str], deadline: Optional[Deadline] = None
@@ -694,86 +245,30 @@ class ProcessShardedEstimator(OccurrenceEstimator):
         through its memoising counter before replying, so the per-query
         cost is one local search, not one IPC round trip. Scalars and
         intervals are identical to ``k`` :meth:`merged_count` calls.
+        Verified epoch-current hot patterns never reach the pipe at all.
         """
         patterns = list(patterns)
-        for pattern in patterns:
-            if not isinstance(pattern, str) or not pattern:
-                raise PatternError("patterns must be non-empty strings")
-        if self._closed:
-            raise ReproError("ProcessShardedEstimator is closed")
-        if not patterns:
-            return []
-        # Hot-pattern routing: verified epoch-current patterns never
-        # reach the pipe at all — only the cold remainder is shipped.
-        results: List[Optional[MergedCount]] = [None] * len(patterns)
-        cold: List[int] = []
-        for qi, pattern in enumerate(patterns):
-            hit = hot_short_circuit(self._hot, pattern)
-            if hit is not None:
-                results[qi] = hit
-            else:
-                cold.append(qi)
-        if not cold:
-            return [r for r in results if r is not None]
-        shipped = [patterns[qi] for qi in cold]
-        per_slot = self._fan_out("count_many", shipped, deadline)
-        for ci, qi in enumerate(cold):
-            pattern = patterns[qi]
-            p = len(pattern)
-            answers = []
-            for slot, values, reason in per_slot:
-                if slot.quarantined or values is None:
-                    answers.append(
-                        self._degraded_answer(slot, p, reason or "no batch answer")
-                    )
-                else:
-                    answers.append(
-                        ShardAnswer(
-                            shard=slot.name,
-                            model=slot.model,
-                            threshold=slot.threshold,
-                            value=values[ci],
-                            ceiling=slot.ceiling(p),
-                        )
-                    )
-            merged = merge_answers(answers)
-            hot_feedback(self._hot, pattern, merged)
-            results[qi] = merged
-        return [r for r in results if r is not None]
-
-    def count(self, pattern: str) -> int:
-        """The merged scalar (sound upper end of the merged interval)."""
-        return self.merged_count(pattern).count
-
-    def count_interval(
-        self, pattern: str, deadline: Optional[Deadline] = None
-    ) -> Tuple[int, int]:
-        merged = self.merged_count(pattern, deadline)
-        return (merged.lo, merged.hi)
-
-    def count_or_none(
-        self, pattern: str, deadline: Optional[Deadline] = None
-    ) -> Optional[int]:
-        merged = self.merged_count(pattern, deadline)
-        return merged.lo if merged.exact else None
-
-    def is_reliable(self, pattern: str) -> bool:
-        return self.count_or_none(pattern) is not None
+        check_patterns(patterns)
+        self._check_open()
+        return self._gather(patterns, deadline, True)
 
     # -- space ----------------------------------------------------------------
 
     def space_report(self) -> SpaceReport:
-        """Per-shard reports (from the attach handshakes) rolled up, with
+        """Per-shard reports (from the attach telemetry) rolled up, with
         every shard's segment accounted **once per host** under ``shared``
         and the worker count recorded — so ``resident_per_worker`` shows
         what each process actually adds beyond the shared maps."""
         parts = []
         shared: Dict[str, int] = {}
-        for slot in self._slots:
-            components = dict(slot.handshake.get("space_components", {}))
-            overhead = dict(slot.handshake.get("space_overhead", {}))
-            parts.append(SpaceReport(slot.name, components, overhead))
-            shared[f"{slot.name}.segment"] = slot.segment_bytes * 8
+        for slot, ref in zip(self._slots, self._refs):
+            telemetry = slot.attached.get(_GENERATION, {})
+            parts.append(SpaceReport(
+                slot.name,
+                dict(telemetry.get("space_components", {})),
+                dict(telemetry.get("space_overhead", {})),
+            ))
+            shared[f"{slot.name}.segment"] = ref.nbytes * 8
         merged = SpaceReport.merge(parts, name="ProcessShardedEstimator")
         return SpaceReport(
             merged.name,
@@ -784,23 +279,16 @@ class ProcessShardedEstimator(OccurrenceEstimator):
         )
 
     def attach_telemetry(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard zero-copy evidence from the worker handshakes:
+        """Per-shard zero-copy evidence from the worker attaches:
         ``segment_bytes`` mapped vs ``attach_alloc_bytes`` the attach
         actually allocated in the worker."""
-        return {
-            slot.name: {
-                "segment_bytes": int(slot.handshake.get("segment_bytes", 0)),
+        out: Dict[str, Dict[str, int]] = {}
+        for slot in self._slots:
+            telemetry = slot.attached.get(_GENERATION, {})
+            out[slot.name] = {
+                "segment_bytes": int(telemetry.get("segment_bytes", 0)),
                 "attach_alloc_bytes": int(
-                    slot.handshake.get("attach_alloc_bytes", 0)
+                    telemetry.get("attach_alloc_bytes", 0)
                 ),
             }
-            for slot in self._slots
-        }
-
-    def __repr__(self) -> str:
-        degraded = len(self.degraded_shards)
-        return (
-            f"ProcessShardedEstimator(k={self.k}, chars={self.text_length}"
-            + (f", degraded={degraded}" if degraded else "")
-            + ")"
-        )
+        return out

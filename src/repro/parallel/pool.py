@@ -22,9 +22,11 @@ from __future__ import annotations
 import atexit
 import sys
 import weakref
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Tuple
 
+from ..core.interface import ErrorModel
 from ..errors import InvalidParameterError
 from .segment import Segment
 
@@ -84,6 +86,32 @@ def attach_shared_segment(
     return shm, segment
 
 
+@dataclass(frozen=True)
+class SegmentRef:
+    """One published segment's serving metadata (no index bytes held).
+
+    Everything a parent needs to admit, merge and account a segment
+    without attaching it: the shared block to hand to a worker, and the
+    error-model header fields the merge algebra consumes.
+    """
+
+    name: str
+    shm_name: str
+    nbytes: int
+    error_model: str
+    threshold: int
+    text_length: int
+    characters: str
+
+    @property
+    def model(self) -> ErrorModel:
+        return ErrorModel(self.error_model)
+
+    def ceiling(self, pattern_length: int) -> int:
+        """The segment's trivial occurrence bound ``max(0, n - |P| + 1)``."""
+        return max(0, self.text_length - pattern_length + 1)
+
+
 class PublishedSegment:
     """One segment resident in a shared block (created by a pool)."""
 
@@ -106,6 +134,19 @@ class PublishedSegment:
     def bits(self) -> int:
         """Segment size in bits (for shared-space accounting)."""
         return self.nbytes * 8
+
+    @property
+    def ref(self) -> SegmentRef:
+        """The segment's serving metadata, read from its header."""
+        return SegmentRef(
+            name=self.key,
+            shm_name=self.shm_name,
+            nbytes=self.nbytes,
+            error_model=str(self.meta["error_model"]),
+            threshold=int(self.meta["threshold"]),
+            text_length=int(self.meta["text_length"]),
+            characters=str(self.meta["characters"]),
+        )
 
 
 class SegmentPool:

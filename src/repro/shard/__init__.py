@@ -34,6 +34,7 @@ from .build import (
     effective_shard_threshold,
 )
 from .estimator import ShardProbe, ShardedAutomaton, ShardedEstimator
+from .fanout import BackoffPolicy
 from .merge import (
     MergedCount,
     MergePolicy,
@@ -45,6 +46,7 @@ from .merge import (
 from .plan import Shard, ShardPlan
 
 __all__ = [
+    "BackoffPolicy",
     "MergePolicy",
     "MergedCount",
     "Shard",

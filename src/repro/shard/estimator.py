@@ -1,16 +1,18 @@
 """The sharded estimator: ``k`` per-shard indexes behind one interface.
 
 :class:`ShardedEstimator` implements
-:class:`~repro.core.interface.OccurrenceEstimator` by fanning each query
-out to per-shard indexes on a thread pool (each shard search bounded by a
-slice of the caller's :class:`~repro.service.deadline.Deadline`) and
-folding the per-shard answers through the error algebra of
-:mod:`repro.shard.merge`. Two execution strategies produce identical
-scalars:
+:class:`~repro.core.interface.OccurrenceEstimator` over the fan-out core
+(:mod:`repro.shard.fanout`), answering each round with a plain
+in-process loop over the per-shard indexes — under the interpreter lock
+a thread pool would run the shard searches one after another anyway, at
+the cost of a dispatch per fan-out — and folding the per-shard answers
+through the error algebra of :mod:`repro.shard.merge`. Every shard
+search gets the caller's own :class:`~repro.service.deadline.Deadline`.
+Two execution strategies produce identical scalars:
 
-* the **fan-out path** (:meth:`ShardedEstimator.merged_count`) — one
-  thread per shard, per-shard
-  :class:`~repro.batch.SuffixSharingCounter` memoisation;
+* the **fan-out path** (:meth:`ShardedEstimator.merged_count`) — the
+  loop, with per-shard :class:`~repro.batch.SuffixSharingCounter`
+  memoisation;
 * the **engine path** — :class:`ShardedAutomaton`, the product of the
   per-shard backward-search automata, exposed through the
   ``__engine_automaton__`` hook so
@@ -30,9 +32,6 @@ watchdog drives those hooks through :meth:`~ShardedEstimator.convict_shards`
 
 from __future__ import annotations
 
-import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -48,18 +47,12 @@ from ..batch import SuffixSharingCounter
 from ..core.interface import ErrorModel, OccurrenceEstimator
 from ..engine import BackwardSearchAutomaton, automaton_of
 from ..engine.automaton import AutomatonCapabilities
-from ..errors import InvalidParameterError, PatternError
+from ..errors import InvalidParameterError
 from ..service.deadline import Deadline
 from ..space import SpaceReport
-from ..textutil import Alphabet, Text
-from .merge import (
-    MergedCount,
-    ShardAnswer,
-    hot_feedback,
-    hot_short_circuit,
-    merge_answers,
-    merged_threshold,
-)
+from ..textutil import Text
+from .fanout import ShardFanOut, Slot, check_patterns
+from .merge import MergedCount, ShardAnswer, merge_answers, merged_threshold
 
 
 @dataclass(frozen=True)
@@ -74,13 +67,10 @@ class ShardProbe:
     reason: str = ""
 
 
-class _ShardSlot:
+class _ShardSlot(Slot):
     """One shard's live serving state (estimator, counter, quarantine flag)."""
 
-    __slots__ = (
-        "name", "estimator", "text", "builder",
-        "counter", "quarantined", "reason",
-    )
+    __slots__ = ("estimator", "text", "builder", "counter")
 
     def __init__(
         self,
@@ -90,30 +80,33 @@ class _ShardSlot:
         builder: Optional[Callable[[], OccurrenceEstimator]],
         max_states: Optional[int],
     ):
-        self.name = name
+        super().__init__(name)
         self.estimator = estimator
         self.text = text
         self.builder = builder
         self.counter = SuffixSharingCounter(estimator, max_states=max_states)
-        self.quarantined = False
-        self.reason = ""
+
+    @property
+    def model(self) -> ErrorModel:
+        return self.estimator.error_model
+
+    @property
+    def threshold(self) -> int:
+        return self.estimator.threshold
+
+    @property
+    def text_length(self) -> int:
+        return self.estimator.text_length
+
+    @property
+    def characters(self):
+        return self.estimator.alphabet.characters
 
     def ceiling(self, pattern_length: int) -> int:
         return max(0, self.estimator.text_length - pattern_length + 1)
 
 
-def _subdeadline(deadline: Optional[Deadline]) -> Optional[Deadline]:
-    """A per-shard slice of the caller's budget: each concurrent shard
-    search gets the *remaining* wall-clock of the parent deadline."""
-    if deadline is None:
-        return None
-    remaining = deadline.remaining()
-    if not math.isfinite(remaining):
-        return None
-    return Deadline(remaining)
-
-
-class ShardedEstimator(OccurrenceEstimator):
+class ShardedEstimator(ShardFanOut):
     """``k`` per-shard indexes merged behind one estimator interface.
 
     ``estimators`` maps shard name to the per-shard index (insertion order
@@ -124,8 +117,8 @@ class ShardedEstimator(OccurrenceEstimator):
     :func:`repro.shard.build.build_sharded` to get all three wired up
     from a :class:`~repro.shard.plan.ShardPlan`.
 
-    Not picklable (thread pool + locks): persist the per-shard indexes
-    individually and reassemble.
+    Not picklable (locks): persist the per-shard indexes individually
+    and reassemble.
     """
 
     def __init__(
@@ -136,7 +129,6 @@ class ShardedEstimator(OccurrenceEstimator):
         builders: Optional[
             Mapping[str, Callable[[], OccurrenceEstimator]]
         ] = None,
-        max_workers: Optional[int] = None,
         max_states: Optional[int] = 4096,
     ):
         items = (
@@ -144,100 +136,34 @@ class ShardedEstimator(OccurrenceEstimator):
             if isinstance(estimators, Mapping)
             else list(estimators)
         )
-        if not items:
-            raise InvalidParameterError("a sharded estimator needs >= 1 shard")
-        names = [name for name, _ in items]
-        if len(set(names)) != len(names):
-            raise InvalidParameterError(f"shard names must be unique: {names}")
         texts = dict(texts or {})
         builders = dict(builders or {})
-        self._slots: List[_ShardSlot] = [
+        slots = [
             _ShardSlot(
                 name, estimator, texts.get(name), builders.get(name), max_states
             )
             for name, estimator in items
         ]
-        self._lock = threading.RLock()
+        super().__init__(slots, slots)
         self._max_states = max_states
-        self._alphabet: Optional[Alphabet] = None
-        self._hot = None
-        workers = max_workers if max_workers is not None else min(len(items), 8)
-        if workers < 1:
-            raise InvalidParameterError(f"max_workers must be >= 1, got {workers}")
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            )
-            if len(items) > 1
-            else None
-        )
-
-    # -- estimator interface --------------------------------------------------
-
-    @property
-    def error_model(self) -> ErrorModel:  # type: ignore[override]
-        """The weakest model any shard currently forces (dynamic: a
-        quarantined shard degrades the whole estimator to UPPER_BOUND)."""
-        models = [slot.estimator.error_model for slot in self._slots]
-        if any(slot.quarantined for slot in self._slots):
-            return ErrorModel.UPPER_BOUND
-        if any(m is ErrorModel.UPPER_BOUND for m in models):
-            return ErrorModel.UPPER_BOUND
-        if all(m is ErrorModel.EXACT for m in models):
-            return ErrorModel.EXACT
-        return ErrorModel.UNIFORM
-
-    @property
-    def threshold(self) -> int:
-        """The static merged threshold ``1 + sum (l_i - 1)``."""
-        return merged_threshold(
-            [slot.estimator.threshold for slot in self._slots]
-        )
-
-    @property
-    def alphabet(self) -> Alphabet:
-        """Union of the per-shard alphabets."""
-        with self._lock:
-            if self._alphabet is None:
-                characters: set = set()
-                for slot in self._slots:
-                    characters.update(slot.estimator.alphabet.characters)
-                self._alphabet = Alphabet(characters)
-            return self._alphabet
-
-    @property
-    def text_length(self) -> int:
-        """Summed per-shard text lengths (the sharded corpus view; this
-        exceeds the monolithic concatenation by the ``k - 1`` extra
-        separators the per-shard texts carry)."""
-        return sum(slot.estimator.text_length for slot in self._slots)
-
-    @property
-    def shard_names(self) -> List[str]:
-        """Shard names in shard order."""
-        return [slot.name for slot in self._slots]
-
-    @property
-    def k(self) -> int:
-        """Number of shards."""
-        return len(self._slots)
 
     def estimator_for(self, name: str) -> OccurrenceEstimator:
         """The live per-shard index (for tests and operators)."""
         return self._slot(name).estimator
 
-    # -- hot-pattern routing --------------------------------------------------
-
-    def attach_hot(self, hot) -> None:
-        """Route through a :class:`~repro.hot.HotPatternTier`.
-
-        An epoch-current verified count answers without touching any
-        shard; every merged *exact* answer is fed back so hot patterns
-        verify themselves against the merge the fan-out would produce.
-        """
-        self._hot = hot
-
     # -- counting -------------------------------------------------------------
+
+    def _round(self, slots, op, pattern, deadline, context):
+        """The in-process round (single patterns only): each shard's
+        search in turn, under the caller's own deadline."""
+        replies = []
+        for slot in slots:
+            if slot.model is ErrorModel.LOWER_SIDED:
+                value = slot.counter.count_or_none(pattern, deadline)
+            else:
+                value = slot.counter.count(pattern, deadline)
+            replies.append((value, ""))
+        return replies
 
     def merged_count(
         self, pattern: str, deadline: Optional[Deadline] = None
@@ -250,73 +176,8 @@ class ShardedEstimator(OccurrenceEstimator):
         the answer is only allowed to degrade along paths whose weakened
         model is *declared* (quarantine), never silently.
         """
-        if not isinstance(pattern, str) or not pattern:
-            raise PatternError("pattern must be a non-empty string")
-        hot_hit = hot_short_circuit(self._hot, pattern)
-        if hot_hit is not None:
-            return hot_hit
-        p = len(pattern)
-        slots = list(self._slots)
-
-        def ask(slot: _ShardSlot) -> ShardAnswer:
-            if slot.quarantined:
-                return ShardAnswer(
-                    shard=slot.name,
-                    model=None,
-                    threshold=slot.estimator.threshold,
-                    value=None,
-                    ceiling=slot.ceiling(p),
-                    degraded=True,
-                    reason=slot.reason or "quarantined",
-                )
-            sub = _subdeadline(deadline)
-            model = slot.estimator.error_model
-            if model is ErrorModel.LOWER_SIDED:
-                value: Optional[int] = slot.counter.count_or_none(pattern, sub)
-            else:
-                value = slot.counter.count(pattern, sub)
-            return ShardAnswer(
-                shard=slot.name,
-                model=model,
-                threshold=slot.estimator.threshold,
-                value=value,
-                ceiling=slot.ceiling(p),
-            )
-
-        if self._pool is None or len(slots) == 1:
-            answers = [ask(slot) for slot in slots]
-        else:
-            answers = list(self._pool.map(ask, slots))
-        merged = merge_answers(answers)
-        hot_feedback(self._hot, pattern, merged)
-        return merged
-
-    def count(self, pattern: str) -> int:
-        """The merged scalar (the sound upper end of the merged interval)."""
-        return self.merged_count(pattern).count
-
-    def count_interval(
-        self, pattern: str, deadline: Optional[Deadline] = None
-    ) -> Tuple[int, int]:
-        """Sound ``[lo, hi]`` interval on the true corpus count."""
-        merged = self.merged_count(pattern, deadline)
-        return (merged.lo, merged.hi)
-
-    def count_or_none(
-        self, pattern: str, deadline: Optional[Deadline] = None
-    ) -> Optional[int]:
-        """Certified-exact merged count, or ``None``.
-
-        Exact iff no shard is degraded and every shard pins its count:
-        exact shards always, lower-sided shards when they certify,
-        uniform/upper-bound shards when they answer 0 (which their
-        one-sided contracts make exact).
-        """
-        merged = self.merged_count(pattern, deadline)
-        return merged.lo if merged.exact else None
-
-    def is_reliable(self, pattern: str) -> bool:
-        return self.count_or_none(pattern) is not None
+        check_patterns([pattern])
+        return self._gather([pattern], deadline, False)[0]
 
     def space_report(self) -> SpaceReport:
         """Per-shard reports rolled up via :meth:`SpaceReport.merge`,
@@ -349,33 +210,6 @@ class ShardedEstimator(OccurrenceEstimator):
         return ShardedAutomaton(slots, automata)
 
     # -- shard lifecycle ------------------------------------------------------
-
-    def _slot(self, name: str) -> _ShardSlot:
-        for slot in self._slots:
-            if slot.name == name:
-                return slot
-        raise InvalidParameterError(
-            f"unknown shard {name!r} (have {self.shard_names})"
-        )
-
-    @property
-    def degraded_shards(self) -> Tuple[str, ...]:
-        """Names of shards currently quarantined."""
-        return tuple(slot.name for slot in self._slots if slot.quarantined)
-
-    def quarantine_shard(self, name: str, reason: str = "") -> None:
-        """Pull one shard out of service; the others keep answering."""
-        with self._lock:
-            slot = self._slot(name)
-            slot.quarantined = True
-            slot.reason = reason
-
-    def readmit_shard(self, name: str) -> None:
-        """Return a shard to service."""
-        with self._lock:
-            slot = self._slot(name)
-            slot.quarantined = False
-            slot.reason = ""
 
     def replace_shard(self, name: str, estimator: OccurrenceEstimator) -> None:
         """Swap in a rebuilt per-shard index with a fresh memo cache."""
@@ -480,14 +314,6 @@ class ShardedEstimator(OccurrenceEstimator):
             self._check_slot(slot, pattern, slot.text.count_naive(pattern))
             for pattern in patterns
         ]
-
-    def __repr__(self) -> str:
-        degraded = len(self.degraded_shards)
-        return (
-            f"ShardedEstimator(k={self.k}, chars={self.text_length}"
-            + (f", degraded={degraded}" if degraded else "")
-            + ")"
-        )
 
 
 #: Poison component: a shard that cannot be stepped (quarantined at step

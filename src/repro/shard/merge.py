@@ -185,49 +185,6 @@ class MergedCount:
         )
 
 
-def hot_short_circuit(hot, pattern: str) -> Optional[MergedCount]:
-    """An epoch-current hot-tier count as a one-answer exact merge.
-
-    Used by the fan-out executors (thread, process, daemon) to skip the
-    shard round entirely: only a *verified, epoch-current* exact count
-    qualifies (``lookup_exact``), so the synthesized merge is exactly
-    what the fan-out would have produced.
-    """
-    if hot is None:
-        return None
-    exact = hot.lookup_exact(pattern)
-    if exact is None:
-        return None
-    c = int(exact)
-    answer = ShardAnswer(
-        shard="hot", model=ErrorModel.EXACT, threshold=1, value=c, ceiling=c
-    )
-    return MergedCount(
-        count=c,
-        lo=c,
-        hi=c,
-        error_model=ErrorModel.EXACT,
-        threshold=1,
-        degraded_shards=(),
-        answers=(answer,),
-    )
-
-
-def hot_feedback(hot, pattern: str, merged: MergedCount) -> None:
-    """Report a merged answer back to the hot tier (best-effort).
-
-    An exact merge verifies the pattern at the current epoch; anything
-    else only warms the frequency sketch.
-    """
-    if hot is None:
-        return
-    try:
-        model = ErrorModel.EXACT if merged.exact else merged.error_model
-        hot.observe(pattern, merged.count, model)
-    except Exception:  # noqa: BLE001 - feedback must never break serving
-        pass
-
-
 def merge_answers(answers: Sequence[ShardAnswer]) -> MergedCount:
     """Fold per-shard answers into one :class:`MergedCount`.
 

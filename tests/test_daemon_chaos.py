@@ -30,6 +30,7 @@ from repro.core.interface import ErrorModel
 from repro.daemon import BackoffPolicy, Supervisor
 from repro.errors import ReproError
 from repro.live import LiveCorpus
+from repro.service import ResilientEstimator, TextStatsEstimator, Tier
 from repro.service.deadline import Deadline
 from repro.service.faults import (
     DAEMON_SITES,
@@ -37,6 +38,9 @@ from repro.service.faults import (
     DaemonFaultSpec,
     SimulatedCrashError,
 )
+
+from repro.shard.pipe import DEADLINE_GRACE
+from repro.textutil import Text
 
 from conftest import naive_count
 
@@ -406,4 +410,83 @@ class TestWorkerFailureConvergence:
                 lambda: not supervisor.merged_count("ab").degraded
             )
         finally:
+            supervisor.close()
+
+
+# -- a stopped fleet costs one window per round -------------------------------
+
+
+class TestStoppedFleetDeadline:
+    """With every worker SIGSTOPped, a deadline-bounded call waits one
+    window for the whole round — not one window per worker — and the
+    ladder's deadline reaches the daemon tier instead of its
+    ``worker_timeout``. Heartbeats are slowed so the monitor does not
+    replace the stopped workers mid-query."""
+
+    #: Scheduling slack on a loaded runner; one extra window per worker
+    #: (the defect these pin down) costs 0.75 s on two workers.
+    SLACK = 0.35
+
+    def _stopped(self, supervisor):
+        pids = [
+            supervisor.worker_pid(i)
+            for i in range(len(supervisor.generation.segments))
+        ]
+        assert len(pids) == 2
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        return pids
+
+    @staticmethod
+    def _resume(pids):
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+
+    def test_round_answers_within_one_window(self, tmp_path):
+        corpus = _make_corpus(tmp_path / "c")
+        supervisor = _supervisor(corpus, heartbeat_interval=60.0)
+        pids = []
+        try:
+            docs = dict(corpus.documents())
+            pids = self._stopped(supervisor)
+            started = time.monotonic()
+            answer = supervisor.merged_count("an", Deadline(0.5))
+            elapsed = time.monotonic() - started
+            assert elapsed < 0.5 + DEADLINE_GRACE + self.SLACK, elapsed
+            assert answer.degraded
+            _assert_sound(answer, docs, "an")
+        finally:
+            self._resume(pids)
+            supervisor.close()
+
+    def test_ladder_deadline_reaches_the_daemon_tier(self, tmp_path):
+        corpus = _make_corpus(tmp_path / "c")
+        supervisor = _supervisor(
+            corpus, heartbeat_interval=60.0, worker_timeout=3.0
+        )
+        pids = []
+        try:
+            docs = dict(corpus.documents())
+            whole = Text.from_rows(
+                list(docs.values()), separator=corpus.config.separator
+            )
+            service = ResilientEstimator(
+                [
+                    Tier(supervisor, "daemon"),
+                    Tier(TextStatsEstimator(whole), "stats",
+                         always_available=True),
+                ],
+                deadline_seconds=0.5,
+            )
+            pids = self._stopped(supervisor)
+            started = time.monotonic()
+            outcome = service.query("an")
+            elapsed = time.monotonic() - started
+            assert elapsed < 0.5 + DEADLINE_GRACE + self.SLACK, elapsed
+            assert outcome.count >= _truth(docs, "an")
+        finally:
+            self._resume(pids)
             supervisor.close()

@@ -479,3 +479,26 @@ class TestLiveCorpusEstimatorSurface:
             assert outcome.delta_pending == 1
             whole = "\x1e".join(list(DOCS.values()) + ["fresh delta doc"])
             assert outcome.count >= naive_count(whole, "ana")
+
+    def test_ladder_serves_appends_not_a_stale_count(self, tmp_path):
+        # A tier keeps one counter for its whole life; nothing it caches
+        # may outlive a mutation of the corpus underneath it.
+        from repro.datasets import generate
+        from repro.service import ResilientEstimator, Tier
+
+        raw = generate("dna", 8_000, 0)
+        pattern = "ACGTACGT"
+        with LiveCorpus.create(tmp_path / "c", l=8, shards=2) as corpus:
+            corpus.append("d0", raw[:4_000])
+            corpus.append("d1", raw[4_000:])
+            corpus.compact()
+            service = ResilientEstimator([Tier(corpus, "live")])
+            service.query(pattern)
+            corpus.append("burst", pattern * 50)
+            outcome = service.query(pattern)
+            truth = sum(
+                naive_count(body, pattern)
+                for body in corpus.documents().values()
+            )
+            assert outcome.error_model.name == "UNIFORM"
+            assert truth <= outcome.count <= truth + outcome.threshold - 1

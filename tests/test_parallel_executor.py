@@ -2,7 +2,7 @@
 tolerance, and the zero-copy attach telemetry.
 
 One worker-process fleet is spawned per test class (spawn costs ~1s per
-worker), and every merged interval is compared against the thread-pooled
+worker), and every merged interval is compared against the in-process
 :class:`~repro.shard.estimator.ShardedEstimator` built over the *same*
 shard plan — the two executors must be answer-identical.
 """
@@ -18,14 +18,21 @@ import pytest
 
 from repro.baselines.fm import FMIndex
 from repro.core.interface import ErrorModel
+from repro.datasets import generate
 from repro.errors import (
+    DeadlineExceededError,
     InvalidParameterError,
     PatternError,
     ReproError,
 )
 from repro.parallel import ProcessShardedEstimator
 from repro.service.deadline import Deadline
-from repro.shard import ShardPlan, build_process_sharded, build_sharded
+from repro.shard import (
+    BackoffPolicy,
+    ShardPlan,
+    build_process_sharded,
+    build_sharded,
+)
 from repro.textutil import mixed_workload
 
 pytestmark = pytest.mark.slow
@@ -203,6 +210,27 @@ class TestWorkerDeath:
             process_estimator.quarantine_shard("no-such-shard")
 
 
+class TestWorkerErrorDrain:
+    def test_error_round_leaves_no_stale_reply(self):
+        # Every worker of the round replies with an error; the parent
+        # must read all of them before it re-raises, or the next request
+        # reads a stale reply and quarantines a healthy shard.
+        raw = generate("dna", 20_000, 1)
+        plan = ShardPlan.for_documents(
+            [("d0", raw[:10_000]), ("d1", raw[10_000:])], 2
+        )
+        estimator, _ = build_process_sharded(plan, "cpst", l=8)
+        with estimator:
+            before = estimator.merged_count("ACGTAC")
+            patterns = [raw[i:i + 8] for i in range(0, 4_000, 40)]
+            with pytest.raises(DeadlineExceededError):
+                estimator.merged_count_many(patterns, Deadline(1e-9))
+            after = estimator.merged_count("ACGTAC")
+            assert not after.degraded_shards, after.summary()
+            assert (after.lo, after.hi) == (before.lo, before.hi)
+            assert after.error_model is before.error_model
+
+
 class TestZeroCopyTelemetry:
     def test_attach_allocation_is_constant_not_proportional(self):
         # A worker attaching a large shared segment must allocate only
@@ -263,9 +291,11 @@ class TestRespawnBudget:
         fm = FMIndex("abracadabra banana" * 3)
         estimator = ProcessShardedEstimator.from_estimators(
             [("s0", fm)],
-            respawn_limit=2,
-            respawn_window=60.0,
-            respawn_base=0.0,  # no sleeps: the budget is what's under test
+            backoff=BackoffPolicy(
+                max_failures=2,
+                window=60.0,
+                base=0.0,  # no sleeps: the budget is what's under test
+            ),
         )
         with estimator:
             estimator.respawn_shard("s0")
@@ -288,9 +318,11 @@ class TestRespawnBudget:
         fm = FMIndex("abracadabra" * 2)
         estimator = ProcessShardedEstimator.from_estimators(
             [("s0", fm)],
-            respawn_limit=1,
-            respawn_window=6.0,  # > the ~1s a spawn handshake takes
-            respawn_base=0.0,
+            backoff=BackoffPolicy(
+                max_failures=1,
+                window=6.0,  # > the ~1s a spawn handshake takes
+                base=0.0,
+            ),
         )
         with estimator:
             start = time.monotonic()
@@ -309,14 +341,14 @@ class TestRespawnBudget:
     def test_respawn_parameter_validation(self):
         fm = FMIndex("abracadabra")
         for kwargs in (
-            {"respawn_limit": 0},
-            {"respawn_window": 0.0},
-            {"respawn_base": -0.1},
-            {"respawn_cap": -1.0},
+            {"max_failures": 0},
+            {"window": 0.0},
+            {"base": -0.1},
+            {"cap": -1.0},
         ):
             with pytest.raises(InvalidParameterError):
                 ProcessShardedEstimator.from_estimators(
-                    [("s0", fm)], **kwargs
+                    [("s0", fm)], backoff=BackoffPolicy(**kwargs)
                 )
 
 
