@@ -144,7 +144,7 @@ class BitVector:
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError(f"bit index {i} out of range (n={self._n})")
-        return (int(self._words[i >> 6]) >> (i & 63)) & 1
+        return (self._words.item(i >> 6) >> (i & 63)) & 1
 
     def to_array(self) -> np.ndarray:
         """Unpack into a uint8 array of 0/1 values."""
@@ -158,9 +158,9 @@ class BitVector:
             raise IndexError(f"rank position {i} out of range (n={self._n})")
         widx = i >> 6
         off = i & 63
-        r = int(self._rank_dir[widx])
+        r = self._rank_dir.item(widx)
         if off:
-            r += (int(self._words[widx]) & ((1 << off) - 1)).bit_count()
+            r += (self._words.item(widx) & ((1 << off) - 1)).bit_count()
         return r
 
     def rank0(self, i: int) -> int:
@@ -264,27 +264,27 @@ class BitVector:
         if k < 1 or k > self._ones:
             return -1
         # Find the word holding the k-th one: first index with rank_dir >= k.
-        widx = int(np.searchsorted(self._rank_dir, k, side="left")) - 1
-        remaining = k - int(self._rank_dir[widx])
-        word = int(self._words[widx])
-        return (widx << 6) + _select_in_word(word, remaining)
+        widx = int(self._rank_dir.searchsorted(k)) - 1
+        remaining = k - self._rank_dir.item(widx)
+        return (widx << 6) + _select_in_word(self._words.item(widx), remaining)
 
     def select0(self, k: int) -> int:
         """Position of the k-th (1-based) clear bit, or -1 if ``k > num_zeros``."""
         if k < 1 or k > self._n - self._ones:
             return -1
         # zeros before word i = 64*i - rank_dir[i]; binary search on it.
-        lo, hi = 0, len(self._rank_dir) - 1
+        rank_dir = self._rank_dir
+        lo, hi = 0, len(rank_dir) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            zeros_before = (mid << 6) - int(self._rank_dir[mid])
+            zeros_before = (mid << 6) - rank_dir.item(mid)
             if zeros_before < k:
                 lo = mid
             else:
                 hi = mid - 1
         widx = lo
-        remaining = k - ((widx << 6) - int(self._rank_dir[widx]))
-        word = ~int(self._words[widx]) & ((1 << _WORD) - 1)
+        remaining = k - ((widx << 6) - rank_dir.item(widx))
+        word = ~self._words.item(widx) & ((1 << _WORD) - 1)
         return (widx << 6) + _select_in_word(word, remaining)
 
     def select(self, bit: int, k: int) -> int:
@@ -339,12 +339,20 @@ class BitVector:
 register_structure("BitVector", BitVector.attach_storage)
 
 
+#: ``_SELECT8`` as nested lists, for the scalar in-word select.
+_SELECT8_ROWS = _SELECT8.tolist()
+
+
 def _select_in_word(word: int, k: int) -> int:
     """Position (0-based) of the k-th (1-based) set bit inside ``word``.
 
-    ``word`` must contain at least ``k`` set bits.
+    ``word`` must contain at least ``k`` set bits. Halves the window three
+    times by popcount, then finishes inside one byte with the table.
     """
-    for _ in range(k - 1):
-        word &= word - 1  # clear lowest set bit
-    low = word & -word
-    return low.bit_length() - 1
+    pos = 0
+    for width, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF)):
+        ones = ((word >> pos) & mask).bit_count()
+        if ones < k:
+            k -= ones
+            pos += width
+    return pos + _SELECT8_ROWS[(word >> pos) & 0xFF][k - 1]

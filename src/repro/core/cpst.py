@@ -169,12 +169,18 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return (u, z) if u <= z else None  # else: no kept node starts with c
 
     def _step_state(self, state: Tuple[int, int], c: int) -> Optional[Tuple[int, int]]:
+        # Theorem 9 at both ends of the node range: c_u and c_z count the
+        # inverse suffix links for c in nodes [0, u) and [0, z], i.e.
+        # rank_c(S, select_#(S, k)) for k = u and k = z + 1 (u >= 1: the
+        # root is never a search state). Both selects share one descent
+        # to the # bucket and both ranks one walk down c's bit-planes.
         u, z = state
-        c_u = self._links_before(c, u)
-        c_z = self._links_before(c, z + 1)
+        end_u, end_z = self._s.select_pair(self._hash_sym, u, z + 1)
+        c_u, c_z = self._s.rank_pair(c, end_u, end_z)
         if c_u == c_z:
             return None  # VISL undefined: Count(P[i..]) < l
-        return int(self._c[c]) + c_u + 1, int(self._c[c]) + c_z
+        base = self._c.item(c)
+        return base + c_u + 1, base + c_z
 
     def start(self, ch: str) -> Optional[Tuple[int, int]]:
         encoded = self._alphabet.encode_pattern(ch)
@@ -190,7 +196,7 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return 0 if state is None else self._cnt(state[0], state[1])
 
     def step_many(self, states, ch):
-        """Bulk virtual-ISL step: both `_links_before` boundaries of every
+        """Bulk virtual-ISL step: both Theorem 9 boundaries of every
         interval ride one stacked select+rank pass over S."""
         encoded = self._alphabet.encode_pattern(ch)
         if encoded is None:
@@ -206,22 +212,16 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return unpack_interval_states(base + c_u + 1, base + c_z, c_u != c_z)
 
     def capabilities(self) -> AutomatonCapabilities:
-        # One virtual-ISL step = two _links_before evaluations, each one
-        # select plus one rank on S (Theorem 9): 4 operations.
+        # One virtual-ISL step evaluates Theorem 9's rank_c(S, select_#(S, k))
+        # at both ends of the node range: two selects plus two ranks on S,
+        # 4 logical operations (the scalar step fuses their descents).
         return AutomatonCapabilities(
             lower_sided=True, threshold=self._l, rank_ops_per_step=4, vectorized=True
         )
 
-    def _links_before(self, c: int, k: int) -> int:
-        """Number of inverse suffix links for ``c`` in nodes ``[0, k)``
-        (Theorem 9's ``rank_c(S, select_#(S, k))``)."""
-        if k == 0:
-            return 0
-        end = self._s.select(self._hash_sym, k)
-        return self._s.rank(c, end)
-
     def _links_before_many(self, c: int, ks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_links_before`."""
+        """Number of inverse suffix links for ``c`` in nodes ``[0, k)`` for
+        every ``k`` (Theorem 9's ``rank_c(S, select_#(S, k))``)."""
         out = np.zeros(ks.shape, dtype=np.int64)
         nonzero = ks > 0
         if nonzero.any():

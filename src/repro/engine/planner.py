@@ -9,6 +9,14 @@ reversed string — which makes shared suffixes adjacent — and walks the
 virtual trie once with an explicit path stack, so every shared edge is
 stepped exactly once per batch.
 
+The dead state (``None``) is absorbing, and both walks treat it so: a
+walk stops stepping, caching and slicing suffixes at its first dead
+suffix, and the vectorized walk grows its frontier one depth at a time
+from live suffixes only. A pattern therefore costs its *death depth* —
+the length of its shortest dead suffix — not its length: a 20,000-symbol
+probe that falls below a CPST's threshold after ten symbols takes ten
+steps and caches ten suffix keys of at most ten symbols.
+
 Two caches back the walk, with deliberately different lifetimes:
 
 * a **state cache** (suffix → automaton state) bounded by an LRU budget
@@ -195,50 +203,51 @@ class TrieBatchPlanner:
             self._execute_scalar(patterns, deadline)
         return [self._results[pattern] for pattern in patterns]
 
+    def _unanswered(self, patterns: Sequence[str]) -> List[str]:
+        """The distinct patterns without a memoised result, in
+        reverse-lexicographic order: shared suffixes sit on adjacent
+        patterns, so the virtual trie is walked in one pass."""
+        distinct = set(patterns)
+        todo = [pattern for pattern in distinct if pattern not in self._results]
+        self.stats.patterns += len(distinct)
+        self.stats.result_cache_hits += len(distinct) - len(todo)
+        todo.sort(key=lambda p: p[::-1])
+        return todo
+
     def _execute_scalar(
         self, patterns: Sequence[str], deadline: "Deadline | None"
     ) -> None:
-        # Reverse-lexicographic order puts shared suffixes on adjacent
-        # patterns, so the virtual trie is walked in one depth-first pass.
-        distinct = sorted(set(patterns), key=lambda p: p[::-1])
-        stack: List[Optional[Hashable]] = []  # states along the current path
+        # States along the current path; only the last one can be dead.
+        stack: List[Optional[Hashable]] = []
         stack_rev = ""  # reversed prefix the stack currently spells
-        for pattern in distinct:
-            self.stats.patterns += 1
-            if pattern in self._results:
-                self.stats.result_cache_hits += 1
-                continue
+        for pattern in self._unanswered(patterns):
             rev = pattern[::-1]
+            n = len(rev)
             depth = _common_prefix_length(rev, stack_rev)
             del stack[depth:]
-            # Prefer deeper states remembered from earlier batches.
-            while depth < len(rev):
-                cached = self._lookup_state(pattern[len(pattern) - depth - 1 :])
+            # Prefer deeper states remembered from earlier batches. A dead
+            # state, shared or remembered, ends the walk: dead is absorbing.
+            while depth < n and (depth == 0 or stack[-1] is not None):
+                cached = self._lookup_state(pattern[n - depth - 1 :])
                 if cached is _MISS:
                     break
                 stack.append(cached)
                 depth += 1
-            state = stack[-1] if stack else None
-            for d in range(depth, len(rev)):
+            while depth < n and (depth == 0 or stack[-1] is not None):
                 if deadline is not None:
-                    self.stats.deadline_checks += 1
-                    try:
-                        deadline.check()
-                    except DeadlineExceededError:
-                        self.stats.deadline_aborts += 1
-                        raise
-                if d == 0:
+                    self._check_deadline(deadline)
+                if depth == 0:
                     state = self._automaton.start(rev[0])
                     self.stats.automaton_starts += 1
-                    self.stats.rank_calls += self._caps.rank_ops_per_step
-                elif state is not None:
-                    state = self._automaton.step(state, rev[d])
+                else:
+                    state = self._automaton.step(stack[-1], rev[depth])
                     self.stats.automaton_steps += 1
-                    self.stats.rank_calls += self._caps.rank_ops_per_step
-                # else: dead state propagates for free.
+                self.stats.rank_calls += self._caps.rank_ops_per_step
                 stack.append(state)
-                self._remember_state(pattern[len(pattern) - d - 1 :], state)
-            stack_rev = rev
+                self._remember_state(pattern[n - depth - 1 :], state)
+                depth += 1
+            stack_rev = rev[:depth]
+            state = stack[-1]
             self._results[pattern] = (
                 None if state is None else self._automaton.count_state(state)
             )
@@ -248,49 +257,49 @@ class TrieBatchPlanner:
     ) -> None:
         """Breadth-first variant of the trie walk for vectorized automata.
 
-        Instead of stepping one path at a time, the frontier of *distinct*
-        pending suffixes is advanced one depth per iteration, grouped by
-        the symbol each suffix consumes, and every (symbol, depth) group
-        with live parents fires exactly one ``step_many`` wave. Answers,
-        LRU accounting (one probe / one insert per distinct suffix) and
-        the per-wave deadline check all mirror the scalar walk.
+        The frontier grows one depth per iteration from the suffixes that
+        are still live: every walking pattern looks up its suffix of the
+        new depth, the batch's distinct unknown suffixes are grouped by the
+        symbol they consume, and each group fires one ``step_many`` wave.
+        A pattern leaves the frontier at its first dead suffix (or its full
+        length), so it costs its death depth, never its length. Answers,
+        LRU accounting (a pattern probes the cache only until its first
+        miss, and never for a suffix an earlier pattern of the batch
+        already resolved; one insert per stepped suffix) and the per-wave
+        deadline check all mirror the scalar walk.
         """
         pending: Dict[str, Optional[Hashable]] = {}  # batch-local suffix states
-        frontier: Dict[int, Set[str]] = {}  # depth -> suffixes to compute
-        targets: List[str] = []
-        for pattern in sorted(set(patterns), key=lambda p: p[::-1]):
-            self.stats.patterns += 1
-            if pattern in self._results:
-                self.stats.result_cache_hits += 1
-                continue
-            targets.append(pattern)
-            n = len(pattern)
-            depth = 0
-            while depth < n:
-                suffix = pattern[n - depth - 1 :]
-                if suffix in pending:
-                    depth += 1
-                    continue
-                cached = self._lookup_state(suffix)
-                if cached is _MISS:
-                    break
-                pending[suffix] = cached
-                depth += 1
-            for d in range(depth, n):
-                frontier.setdefault(d + 1, set()).add(pattern[n - d - 1 :])
-        for d in sorted(frontier):
+        walking = self._unanswered(patterns)
+        probing = set(walking)  # patterns that have not missed the cache yet
+        depth = 0
+        while walking:
+            depth += 1
+            suffixes = [pattern[-depth:] for pattern in walking]
             waves: Dict[str, List[str]] = {}
-            for suffix in frontier[d]:
-                if suffix in pending:
-                    continue  # resolved through another pattern's cache probe
+            stepping: Set[str] = set()
+            for pattern, suffix in zip(walking, suffixes):
+                if suffix in pending or suffix in stepping:
+                    continue  # resolved through an earlier pattern
+                if pattern in probing:
+                    cached = self._lookup_state(suffix)
+                    if cached is not _MISS:
+                        pending[suffix] = cached
+                        continue
+                    probing.discard(pattern)
+                stepping.add(suffix)
                 waves.setdefault(suffix[0], []).append(suffix)
             for ch in sorted(waves):
-                self._run_wave(ch, waves[ch], d, pending, deadline)
-        for pattern in targets:
-            state = pending[pattern]
-            self._results[pattern] = (
-                None if state is None else self._automaton.count_state(state)
-            )
+                self._run_wave(ch, waves[ch], depth, pending, deadline)
+            still: List[str] = []
+            for pattern, suffix in zip(walking, suffixes):
+                state = pending[suffix]
+                if state is not None and depth < len(pattern):
+                    still.append(pattern)
+                else:
+                    self._results[pattern] = (
+                        None if state is None else self._automaton.count_state(state)
+                    )
+            walking = still
 
     def _run_wave(
         self,
@@ -300,49 +309,40 @@ class TrieBatchPlanner:
         pending: Dict[str, Optional[Hashable]],
         deadline: "Deadline | None",
     ) -> None:
+        """Step every member suffix (all of one depth, all starting with
+        ``ch``) from its live parent ``suffix[1:]``."""
         if deadline is not None:
-            self.stats.deadline_checks += 1
-            try:
-                deadline.check()
-            except DeadlineExceededError:
-                self.stats.deadline_aborts += 1
-                raise
+            self._check_deadline(deadline)
         if depth == 1:
             # The depth-1 frontier for symbol `ch` is the single suffix `ch`.
-            state = self._automaton.start(ch)
+            stepped = [self._automaton.start(ch)]
             self.stats.automaton_starts += 1
             self.stats.rank_calls += self._caps.rank_ops_per_step
-            for suffix in members:
-                pending[suffix] = state
-                self._remember_state(suffix, state)
-            return
-        members = sorted(members)
-        parents = [pending[suffix[1:]] for suffix in members]
-        advanced: List[Optional[Hashable]] = [None] * len(members)
-        live = [j for j, parent in enumerate(parents) if parent is not None]
-        if live:
-            width = len(live)
+        else:
+            parents = [pending[suffix[1:]] for suffix in members]
+            width = len(parents)
             if width < self._wave_width_min:
                 # Too narrow to amortise the bulk kernel's fixed cost:
                 # step scalarly (identical answers, plain step stats).
-                stepped = [
-                    self._automaton.step(parents[j], ch) for j in live
-                ]
+                stepped = [self._automaton.step(parent, ch) for parent in parents]
             else:
-                stepped = self._automaton.step_many(
-                    [parents[j] for j in live], ch
-                )
+                stepped = self._automaton.step_many(parents, ch)
                 self.stats.bulk_calls += 1
                 self.stats.bulk_states += width
                 self.bulk_widths[width] += 1
             self.stats.automaton_steps += width
             self.stats.rank_calls += self._caps.rank_ops_per_step * width
-            for j, state in zip(live, stepped):
-                advanced[j] = state
-        # Dead parents propagate dead children for free, as in the scalar walk.
-        for suffix, state in zip(members, advanced):
+        for suffix, state in zip(members, stepped):
             pending[suffix] = state
             self._remember_state(suffix, state)
+
+    def _check_deadline(self, deadline: "Deadline") -> None:
+        self.stats.deadline_checks += 1
+        try:
+            deadline.check()
+        except DeadlineExceededError:
+            self.stats.deadline_aborts += 1
+            raise
 
     def _lookup_state(self, suffix: str):
         states = self._states

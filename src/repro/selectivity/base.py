@@ -16,7 +16,7 @@ modelling choice the paper leaves to the estimation layer.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Protocol, runtime_checkable
 
 from ..engine import EngineStats, TrieBatchPlanner, automaton_of
 from ..errors import InvalidParameterError, PatternError
@@ -123,25 +123,24 @@ class CountOracle:
 
     def prime(
         self, fragments: Iterable[str], deadline: "Deadline | None" = None
-    ) -> None:
-        """Warm the oracle with a batch of fragments in one planner pass.
+    ) -> Dict[str, Optional[int]]:
+        """Answer a batch of fragments in one planner pass.
 
         The route-lattice estimators (KVI/MO/MOL) know most of their probe
         set up front; priming it lets the trie planner order the fragments
         for maximal suffix sharing instead of answering them in estimation
-        order.
+        order. Returns ``{fragment: known(fragment)}`` for every non-empty
+        string fragment, so callers read the answers instead of asking
+        again.
         """
         fragments = [f for f in fragments if isinstance(f, str) and f]
-        if not fragments:
-            return
-        if self._planner is not None:
+        if self._planner is not None and fragments:
             if self._exact:
-                self._planner.count_many(fragments, deadline)
+                values = self._planner.count_many(fragments, deadline)
             else:
-                self._planner.count_or_none_many(fragments, deadline)
-            return
-        for fragment in fragments:
-            self.known(fragment, deadline)
+                values = self._planner.count_or_none_many(fragments, deadline)
+            return dict(zip(fragments, values))
+        return {fragment: self.known(fragment, deadline) for fragment in fragments}
 
     def longest_known(self, pattern: str, start: int) -> int:
         """Length of the longest known fragment ``pattern[start:start+len]``

@@ -24,12 +24,8 @@ unconstrained classes, so benchmark deltas isolate the constraints.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from .mo import MOEstimator
 from .mol import MOLEstimator
-
-_Span = Tuple[int, int]
 
 
 class MOCEstimator(MOEstimator):
@@ -61,27 +57,6 @@ class MOCEstimator(MOEstimator):
 class MOLCEstimator(MOLEstimator):
     """MOL with per-node monotonicity constraints (simplified MOLC)."""
 
-    def _estimate_probability(self, pattern: str) -> float:
-        p = len(pattern)
-        probability: Dict[_Span, float] = {}
-        for length in range(1, p + 1):
-            for i in range(0, p - length + 1):
-                j = i + length
-                fragment = pattern[i:j]
-                known = self._probability_of_known(fragment)
-                if known is not None:
-                    probability[(i, j)] = known
-                    continue
-                if length == 1:
-                    probability[(i, j)] = self._default_probability()
-                    continue
-                r_parent = probability[(i, j - 1)]
-                l_parent = probability[(i + 1, j)]
-                overlap = probability[(i + 1, j - 1)] if length > 2 else 1.0
-                if overlap <= 0.0:
-                    inferred = 0.0
-                else:
-                    inferred = r_parent * l_parent / overlap
-                # The constraint: containment monotonicity at every node.
-                probability[(i, j)] = min(inferred, r_parent, l_parent)
-        return probability[(0, p)]
+    def _infer(self, r_parent: float, l_parent: float, overlap: float) -> float:
+        # The constraint: containment monotonicity at every inferred node.
+        return min(super()._infer(r_parent, l_parent, overlap), r_parent, l_parent)

@@ -13,13 +13,13 @@ filled in bottom-up with the maximal-overlap rule
 the lattice yields ``Pr(P)``.
 
 Complexity: the lattice of ``P[1,p]`` has ``O(p^2)`` nodes, each filled in
-O(1) after one oracle probe — well within budget for the short LIKE
-predicates selectivity estimation targets.
+O(1) from the counts of one batched oracle pass — well within budget for
+the short LIKE predicates selectivity estimation targets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .base import SelectivityEstimator
 
@@ -31,44 +31,52 @@ class MOLEstimator(SelectivityEstimator):
 
     def _estimate_probability(self, pattern: str) -> float:
         p = len(pattern)
-        # Prime the oracle with the whole O(p^2) lattice up front: the
-        # fragments overlap heavily, and the engine's trie planner answers
-        # them in shared-suffix order rather than estimation order.
-        self._oracle.prime(
-            pattern[i:j] for i in range(p) for j in range(i + 1, p + 1)
-        )
+        counts = self._lattice_counts(pattern)
+        normalizer = self.normalizer
         probability: Dict[_Span, float] = {}
         # Bottom-up by substring length; length-0 spans act as Pr = 1
         # (the overlap of two adjacent characters is empty).
         for length in range(1, p + 1):
             for i in range(0, p - length + 1):
                 j = i + length
-                span = (i, j)
-                fragment = pattern[i:j]
-                known = self._probability_of_known(fragment)
-                if known is not None:
-                    probability[span] = known
+                count = counts[pattern[i:j]]
+                if count is not None:
+                    probability[(i, j)] = count / normalizer
                 elif length == 1:
-                    probability[span] = self._default_probability()
+                    probability[(i, j)] = self._default_probability()
                 else:
-                    r_parent = probability[(i, j - 1)]
-                    l_parent = probability[(i + 1, j)]
-                    overlap = probability[(i + 1, j - 1)] if length > 2 else 1.0
-                    if overlap <= 0.0:
-                        probability[span] = 0.0
-                    else:
-                        probability[span] = r_parent * l_parent / overlap
+                    probability[(i, j)] = self._infer(
+                        probability[(i, j - 1)],
+                        probability[(i + 1, j)],
+                        probability[(i + 1, j - 1)] if length > 2 else 1.0,
+                    )
         return probability[(0, p)]
 
-    def lattice_probabilities(self, pattern: str) -> Dict[str, float]:
-        """Per-substring probabilities (diagnostics/examples)."""
+    def _infer(self, r_parent: float, l_parent: float, overlap: float) -> float:
+        """Probability of a node the index cannot certify, from its
+        r-parent ``a·alpha``, l-parent ``alpha·b`` and their overlap
+        ``alpha`` (the maximal-overlap rule)."""
+        if overlap <= 0.0:
+            return 0.0
+        return r_parent * l_parent / overlap
+
+    def _lattice_counts(self, pattern: str) -> Dict[str, Optional[int]]:
+        """Certified count (or ``None``) of every lattice node, shortest
+        first, from one oracle pass: the fragments overlap heavily, and
+        the engine's trie planner answers them in shared-suffix order
+        rather than estimation order."""
         p = len(pattern)
-        self._estimate_probability(pattern)  # warm the oracle cache
-        result: Dict[str, float] = {}
-        for length in range(1, p + 1):
-            for i in range(0, p - length + 1):
-                fragment = pattern[i : i + length]
-                known = self._probability_of_known(fragment)
-                if known is not None:
-                    result[fragment] = known
-        return result
+        return self._oracle.prime(
+            pattern[i : i + length]
+            for length in range(1, p + 1)
+            for i in range(0, p - length + 1)
+        )
+
+    def lattice_probabilities(self, pattern: str) -> Dict[str, float]:
+        """Probabilities of the certified lattice nodes (diagnostics/examples)."""
+        normalizer = self.normalizer
+        return {
+            fragment: count / normalizer
+            for fragment, count in self._lattice_counts(pattern).items()
+            if count is not None
+        }

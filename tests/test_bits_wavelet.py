@@ -183,3 +183,57 @@ def test_property_huffman_tree_rank_access(data):
         assert hwt.select(c, data.count(c)) == max(
             i for i, x in enumerate(data) if x == c
         )
+
+
+def _attach_readonly(matrix):
+    """Round-trip through a parsed segment: a zero-copy read-only view."""
+    from repro.parallel import Segment, SegmentWriter
+
+    writer = SegmentWriter("wavelet-test")
+    writer.add("wm", matrix)
+    return Segment.parse(writer.to_bytes()).attach("wm")
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize(
+    "sigma,n,seed", [(2, 1, 1), (5, 300, 2), (21, 1000, 3), (64, 700, 4)]
+)
+def test_fused_pair_forms_match_naive(sigma, n, seed, compressed):
+    """``select_pair``/``rank_pair`` (one shared descent each) and the
+    scalar ``select``/``rank`` built on the same descent agree with a
+    naive scan, on built and on read-only attached storage, including
+    k = 0, k past the count and symbols outside the alphabet."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, sigma, size=n)
+    seq = data.tolist()
+    owning = WaveletMatrix(data, sigma=sigma, compressed=compressed)
+    attached = _attach_readonly(owning)
+    assert not any(
+        arr.flags.writeable for _, arr in attached.export_storage().walk_arrays()
+    )
+    # Past the alphabet: sigma itself, a code beyond every level's bits, -1.
+    symbols = list(range(sigma)) + [sigma, 1 << (sigma - 1).bit_length() + 1, -1]
+    for wm in (owning, attached):
+        for c in symbols:
+            total = seq.count(c)
+            ks = [0, 1, total, total + 1] + rng.integers(1, total + 2, size=6).tolist()
+            for j, k in zip(ks, reversed(ks)):
+                want = (naive_select(seq, c, j) if j >= 1 else -1,
+                        naive_select(seq, c, k) if k >= 1 else -1)
+                assert wm.select_pair(c, j, k) == want, (c, j, k)
+                assert (wm.select(c, j), wm.select(c, k)) == want, (c, j, k)
+            positions = rng.integers(0, n + 1, size=8).tolist() + [0, n]
+            for i, j in zip(positions, reversed(positions)):
+                want = (naive_rank(seq, c, i), naive_rank(seq, c, j))
+                assert wm.rank_pair(c, i, j) == want, (c, i, j)
+                assert (wm.rank(c, i), wm.rank(c, j)) == want, (c, i, j)
+
+
+def test_fused_pair_forms_on_empty_matrix():
+    wm = WaveletMatrix(np.array([], dtype=np.int64), sigma=4)
+    for c in (0, 3, 4, -1):
+        assert wm.select_pair(c, 0, 1) == (-1, -1)
+        assert wm.select(c, 1) == -1
+        assert wm.rank_pair(c, 0, 0) == (0, 0)
+    with pytest.raises(IndexError):
+        wm.rank_pair(0, 0, 1)

@@ -320,23 +320,63 @@ def test_step_many_matches_step(corpus, kind):
 def test_eviction_parity_scalar_vs_vectorized(corpus):
     """Satellite: the LRU budget is accounted identically on both paths —
     one cache probe and one insert per distinct suffix — so a tiny budget
-    evicts the same amount and never changes answers."""
+    evicts the same amount and never changes answers. FM walks die only on
+    absent symbols; the CPST case also dies mid-pattern (below threshold),
+    where both walks stop."""
     _, text, workload = corpus
-    index = FMIndex(text)
-    expected = [index.count(p) for p in workload]
-    planners = {
-        mode: TrieBatchPlanner(
-            automaton_of(index), max_states=4,
-            vectorize=(mode == "waves"), wave_width_min=1,
-        )
-        for mode in ("scalar", "waves")
-    }
-    for planner in planners.values():
-        assert planner.count_many(workload) == expected
-    scalar, waves = planners["scalar"].stats, planners["waves"].stats
-    assert scalar.state_cache_evictions == waves.state_cache_evictions > 0
-    assert scalar.state_cache_misses == waves.state_cache_misses
-    assert len(planners["scalar"]._states) == len(planners["waves"]._states)
+    cpst = CompactPrunedSuffixTree(text, THRESHOLD)
+    assert any(
+        cpst.count_or_none(p) is None and cpst.count_or_none(p[1:]) is not None
+        for p in workload
+        if len(p) > 1
+    )
+    for index in (FMIndex(text), cpst):
+        expected = [index.count(p) for p in workload]
+        planners = {
+            mode: TrieBatchPlanner(
+                automaton_of(index), max_states=4,
+                vectorize=(mode == "waves"), wave_width_min=1,
+            )
+            for mode in ("scalar", "waves")
+        }
+        for planner in planners.values():
+            assert planner.count_many(workload) == expected
+        scalar, waves = planners["scalar"].stats, planners["waves"].stats
+        assert scalar.state_cache_evictions == waves.state_cache_evictions > 0
+        assert scalar.state_cache_misses == waves.state_cache_misses
+        assert len(planners["scalar"]._states) == len(planners["waves"]._states)
+
+
+@pytest.mark.parametrize("vectorize", [False, True])
+def test_dying_pattern_costs_its_death_depth(vectorize):
+    """Dead is absorbing: a long pattern whose suffix falls below the
+    threshold within a few symbols costs that many extensions, caches no
+    suffix longer than that, and answers None — on the scalar walk and on
+    the wave walk alike."""
+    text = Text(generate("dna", 20_000, seed=5))
+    index = CompactPrunedSuffixTree(text, 16)
+    pattern = text.raw[3_000:9_000]
+    death = next(
+        d for d in range(1, len(pattern) + 1)
+        if index.count_or_none(pattern[-d:]) is None
+    )
+    assert death <= 12 and len(pattern) >= 5_000
+    planner = TrieBatchPlanner(
+        automaton_of(index), vectorize=vectorize, wave_width_min=1
+    )
+    assert planner.vectorized == vectorize
+    # The long pattern, the suffix it dies at, and a pattern sharing it.
+    batch = [pattern, pattern[-death:], "A" + pattern[-death - 3 :]]
+    assert planner.count_or_none_many(batch) == [None, None, None]
+    stats = planner.stats
+    assert stats.automaton_starts + stats.automaton_steps <= death
+    assert max(len(key) for key in planner._states) <= death
+    # A later batch finds the dead suffix in the cache and stops there.
+    before = stats.copy()
+    assert planner.count_or_none("C" + pattern) is None
+    delta = planner.stats - before
+    assert delta.automaton_starts + delta.automaton_steps == 0
+    assert max(len(key) for key in planner._states) <= death
 
 
 def test_wave_probe_accounting_deduplicates(corpus):

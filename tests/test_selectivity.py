@@ -10,7 +10,9 @@ from repro.baselines.fm import FMIndex
 from repro.baselines.pst import PrunedSuffixTree
 from repro.core.cpst import CompactPrunedSuffixTree
 from repro.errors import InvalidParameterError, PatternError
+from repro.baselines.qgram import QGramIndex
 from repro.selectivity import CountOracle, KVIEstimator, MOEstimator, MOLEstimator
+from repro.selectivity.constrained import MOLCEstimator
 from repro.textutil import Text
 
 ESTIMATORS = [KVIEstimator, MOEstimator, MOLEstimator]
@@ -115,6 +117,78 @@ class TestParsers:
         probs = est.lattice_probabilities("the cat")
         assert "the" in probs
         assert all(0.0 <= p <= 1.0 for p in probs.values())
+
+
+def _reference_estimate(estimator, pattern, clamp):
+    """MOL/MOLC as a per-fragment ``oracle.known`` lattice fill (the loop
+    before the lattice read its primed counts): ``(estimate, certified
+    lattice probabilities)``."""
+    oracle, normalizer = estimator.oracle, estimator.normalizer
+    p = len(pattern)
+    probability, certified = {}, {}
+    for length in range(1, p + 1):
+        for i in range(0, p - length + 1):
+            j = i + length
+            count = oracle.known(pattern[i:j])
+            if count is not None:
+                probability[(i, j)] = certified[pattern[i:j]] = count / normalizer
+            elif length == 1:
+                probability[(i, j)] = estimator._default_probability()
+            else:
+                r_parent, l_parent = probability[(i, j - 1)], probability[(i + 1, j)]
+                overlap = probability[(i + 1, j - 1)] if length > 2 else 1.0
+                inferred = 0.0 if overlap <= 0.0 else r_parent * l_parent / overlap
+                probability[(i, j)] = (
+                    min(inferred, r_parent, l_parent) if clamp else inferred
+                )
+    whole = oracle.known(pattern)
+    if whole is not None:
+        return float(whole), certified
+    estimate = max(0.0, min(normalizer, probability[(0, p)] * normalizer))
+    return estimate, certified
+
+
+class TestPrimedLattice:
+    """MOL and MOLC fill the lattice from the counts ``prime`` returns;
+    estimates and lattice probabilities equal the per-fragment fill on
+    every backend, with and without an automaton view."""
+
+    BACKENDS = {
+        "cpst": lambda t: CompactPrunedSuffixTree(t, 8),
+        "pst": lambda t: PrunedSuffixTree(t, 8),
+        "fm": lambda t: FMIndex(t),
+        "qgram": lambda t: QGramIndex(t, q=3),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("estimator_cls", [MOLEstimator, MOLCEstimator])
+    def test_matches_per_fragment_fill(self, backend, estimator_cls, english_like, rng):
+        index = self.BACKENDS[backend](english_like)
+        primed = estimator_cls(index)
+        reference = estimator_cls(index)  # its own oracle: never primed
+        clamp = estimator_cls is MOLCEstimator
+        text = english_like.raw
+        patterns = ["zqzq the", "xyz", "the cat sat on a mat"]
+        for _ in range(25):
+            length = int(rng.integers(2, 13))
+            start = int(rng.integers(0, len(text) - length))
+            patterns.append(text[start : start + length])
+        for pattern in patterns:
+            expected, certified = _reference_estimate(reference, pattern, clamp)
+            assert primed.estimate(pattern) == expected, (backend, pattern)
+            assert primed.lattice_probabilities(pattern) == certified, (backend, pattern)
+
+    def test_prime_returns_its_answers_on_every_branch(self, english_like):
+        fragments = ["the", "cat sat on a mat that", "zq", "", "the"]
+        for backend in ("fm", "cpst", "qgram"):  # exact, lower-sided, no automaton
+            oracle = CountOracle(self.BACKENDS[backend](english_like))
+            answers = oracle.prime(fragments)
+            assert answers == {f: oracle.known(f) for f in fragments if f}, backend
+            assert oracle.prime([]) == {}
+        assert CountOracle(FMIndex(english_like)).prime(["zq"]) == {"zq": 0}
+        assert CountOracle(CompactPrunedSuffixTree(english_like, 8)).prime(
+            ["zq"]
+        ) == {"zq": None}
 
 
 class TestAccuracyOrdering:
