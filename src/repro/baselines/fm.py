@@ -155,24 +155,25 @@ class FMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     # the engine interface consumed by repro.engine.TrieBatchPlanner.
 
     def _start_state(self, c: int) -> Tuple[int, int] | None:
-        first, last = int(self._c[c]), int(self._c[c + 1])
+        first, last = self._c.item(c), self._c.item(c + 1)
         return (first, last) if first < last else None
 
     def _step_state(self, state: Tuple[int, int], c: int) -> Tuple[int, int] | None:
         first, last = state
-        first = int(self._c[c]) + self._occ.rank(c, first)
-        last = int(self._c[c]) + self._occ.rank(c, last)
+        base = self._c.item(c)
+        first = base + self._occ.rank(c, first)
+        last = base + self._occ.rank(c, last)
         return (first, last) if first < last else None
 
     def start(self, ch: str) -> Tuple[int, int] | None:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._start_state(int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._start_state(c)
 
     def step(
         self, state: Tuple[int, int], ch: str
     ) -> Tuple[int, int] | None:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._step_state(state, int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._step_state(state, c)
 
     def count_state(self, state: Tuple[int, int] | None) -> int:
         return 0 if state is None else state[1] - state[0]
@@ -180,10 +181,9 @@ class FMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     def step_many(self, states, ch):
         """One bulk LF-mapping pass: both interval endpoints of the whole
         batch ride a single wavelet-tree walk (``rank_pairs``)."""
-        encoded = self._alphabet.encode_pattern(ch)
-        if encoded is None:
+        c = self._alphabet.code(ch)
+        if c is None:
             return [None] * len(states)
-        c = int(encoded[0])
         arr = pack_interval_states(states)
         base = int(self._c[c])
         firsts, lasts = self._occ.rank_pairs(c, arr[:, 0], arr[:, 1])

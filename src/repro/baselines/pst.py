@@ -154,8 +154,8 @@ class PrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return bisect.bisect_left(self._isl_ids[c], k)
 
     def _start_state(self, c: int) -> Optional[Tuple[int, int]]:
-        u = int(self._symbol_counts[c]) + 1
-        z = int(self._symbol_counts[c + 1])
+        u = self._symbol_counts.item(c) + 1
+        z = self._symbol_counts.item(c + 1)
         return (u, z) if u <= z else None
 
     def _step_state(self, state: Tuple[int, int], c: int) -> Optional[Tuple[int, int]]:
@@ -164,7 +164,7 @@ class PrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         c_z = self._links_before(c, z + 1)
         if c_u == c_z:
             return None  # ISL undefined: Count(P[i..]) < l
-        base = int(self._symbol_counts[c])
+        base = self._symbol_counts.item(c)
         return base + c_u + 1, base + c_z
 
     def _cnt(self, u: int, z: int) -> int:
@@ -174,14 +174,14 @@ class PrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return high - low
 
     def start(self, ch: str) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._start_state(int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._start_state(c)
 
     def step(
         self, state: Tuple[int, int], ch: str
     ) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._step_state(state, int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._step_state(state, c)
 
     def count_state(self, state: Optional[Tuple[int, int]]) -> int:
         return 0 if state is None else self._cnt(state[0], state[1])
@@ -189,10 +189,9 @@ class PrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     def step_many(self, states, ch):
         """Bulk ISL step: both preorder-range boundaries of every interval
         resolve through one ``np.searchsorted`` over the symbol's id list."""
-        encoded = self._alphabet.encode_pattern(ch)
-        if encoded is None:
+        c = self._alphabet.code(ch)
+        if c is None:
             return [None] * len(states)
-        c = int(encoded[0])
         arr = pack_interval_states(states)
         ids = self._isl_arrays[c]
         c_u = np.searchsorted(ids, arr[:, 0], side="left")

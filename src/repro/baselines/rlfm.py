@@ -173,24 +173,25 @@ class RLFMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     # the engine interface consumed by repro.engine.TrieBatchPlanner.
 
     def _start_state(self, c: int) -> Optional[Tuple[int, int]]:
-        first, last = int(self._c[c]), int(self._c[c + 1])
+        first, last = self._c.item(c), self._c.item(c + 1)
         return (first, last) if first < last else None
 
     def _step_state(self, state: Tuple[int, int], c: int) -> Optional[Tuple[int, int]]:
         first, last = state
-        first = int(self._c[c]) + self._rank(c, first)
-        last = int(self._c[c]) + self._rank(c, last)
+        base = self._c.item(c)
+        first = base + self._rank(c, first)
+        last = base + self._rank(c, last)
         return (first, last) if first < last else None
 
     def start(self, ch: str) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._start_state(int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._start_state(c)
 
     def step(
         self, state: Tuple[int, int], ch: str
     ) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._step_state(state, int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._step_state(state, c)
 
     def count_state(self, state: Optional[Tuple[int, int]]) -> int:
         return 0 if state is None else state[1] - state[0]
@@ -198,10 +199,9 @@ class RLFMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     def step_many(self, states, ch):
         """Bulk LF-mapping over the run-length structures: both endpoints
         of every interval share one `_rank_many` pass."""
-        encoded = self._alphabet.encode_pattern(ch)
-        if encoded is None:
+        c = self._alphabet.code(ch)
+        if c is None:
             return [None] * len(states)
-        c = int(encoded[0])
         arr = pack_interval_states(states)
         k = arr.shape[0]
         base = int(self._c[c])

@@ -12,74 +12,69 @@ directory overhead so experiment reports can show both.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .storage import StorageBundle, expected_array, register_structure
+from .storage import DerivedState, StorageBundle, expected_array, register_structure
 
-_WORD = 64
 _U64 = np.uint64
 
-# 16-bit popcount lookup table used for vectorised directory construction.
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint16)
+# _LOW_BITS[o] masks the o low bits of a word (the in-word part of a rank).
+_LOW_BITS = (_U64(1) << np.arange(64, dtype=_U64)) - _U64(1)
 
 # In-byte select table: _SELECT8[v, t] is the position (0-based) of the
-# (t+1)-th set bit of byte value ``v``. Unset entries stay 0 and are never
-# consulted (callers guarantee the byte holds enough set bits).
-_SELECT8 = np.zeros((256, 8), dtype=np.int64)
+# t-th (1-based) set bit of byte value ``v``. Unset entries stay 0 and are
+# never consulted (callers guarantee the byte holds enough set bits).
+_SELECT8 = np.zeros((256, 9), dtype=np.int64)
 for _v in range(256):
     _t = 0
     for _b in range(8):
         if (_v >> _b) & 1:
-            _SELECT8[_v, _t] = _b
             _t += 1
+            _SELECT8[_v, _t] = _b
 del _v, _t, _b
+_SELECT8_FLAT = _SELECT8.ravel().astype(_U64)
 
-
-def _popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word popcounts of a uint64 array, vectorised via a 16-bit LUT."""
-    as16 = words.view(np.uint16)
-    return _POP16[as16].reshape(-1, 4).sum(axis=1, dtype=np.int64)
-
-
-def _popcount_u64(words: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of an arbitrary uint64 array (no view tricks,
-    so it works on non-contiguous gather results)."""
-    w = words.astype(_U64, copy=False)
-    mask = _U64(0xFFFF)
-    counts = (
-        _POP16[(w & mask).astype(np.int64)]
-        + _POP16[((w >> _U64(16)) & mask).astype(np.int64)]
-        + _POP16[((w >> _U64(32)) & mask).astype(np.int64)]
-        + _POP16[(w >> _U64(48)).astype(np.int64)]
-    )
-    return counts.astype(np.int64)
+_LANES = _U64(0x0101010101010101)  # 1 in each of a word's eight byte lanes
+_HIGHS = _U64(0x8080808080808080)  # the high bit of each byte lane
 
 
 def _select_in_words_many(words: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """In-word positions of the k-th (1-based) set bits, one per word.
 
-    Every word must contain at least ``ks[i]`` set bits. Vectorised over a
-    byte decomposition: cumulative byte popcounts locate the byte, a
-    256x8 table finishes inside it.
+    Every word must contain at least ``ks[i]`` set bits. Broadword over
+    the word's little-endian byte lanes: the byte view's popcounts times
+    ``0x0101..01`` put in each lane the set bits up to and including that
+    byte; the lanes still below ``k`` are the bytes before the target one,
+    and the in-byte table finishes inside it. Every step is one
+    elementwise pass over the batch (no per-row reductions).
     """
-    w = words.astype(_U64, copy=False)
-    shifts = np.arange(8, dtype=_U64) * _U64(8)
-    bytes_ = ((w[:, None] >> shifts[None, :]) & _U64(0xFF)).astype(np.int64)
-    cum = np.cumsum(_POP16[bytes_].astype(np.int64), axis=1)
-    byte_idx = (cum < ks[:, None]).sum(axis=1)
-    prev = np.where(
-        byte_idx > 0,
-        np.take_along_axis(cum, np.maximum(byte_idx - 1, 0)[:, None], axis=1)[:, 0],
-        0,
-    )
-    byte_val = np.take_along_axis(bytes_, byte_idx[:, None], axis=1)[:, 0]
-    return byte_idx * 8 + _SELECT8[byte_val, ks - prev - 1]
+    w = np.ascontiguousarray(words, dtype="<u8")
+    k = ks.astype(_U64)
+    upto = np.bitwise_count(w.view(np.uint8)).view("<u8") * _LANES
+    # A lane keeps its high bit through (k - 1 | 0x80) - upto iff upto < k.
+    below = (((k - _U64(1)) * _LANES | _HIGHS) - upto) & _HIGHS
+    skip = np.bitwise_count(below) << np.uint8(3)  # the target byte's bit offset
+    before = ((upto << _U64(8)) >> skip) & _U64(0xFF)
+    byte = (w >> skip) & _U64(0xFF)
+    return (skip + _SELECT8_FLAT[byte * _U64(9) + k - before]).astype(np.int64)
 
 
-class BitVector:
+def _where_valid(k: np.ndarray, valid: np.ndarray, kernel) -> np.ndarray:
+    """``kernel`` over the valid ranks of ``k``, ``-1`` elsewhere; when
+    every rank is valid the batch goes through without a scatter."""
+    if valid.all():
+        return kernel(k.ravel()).reshape(k.shape)
+    out = np.full(k.shape, -1, dtype=np.int64)
+    if valid.any():
+        out[valid] = kernel(k[valid])
+    return out
+
+
+class BitVector(DerivedState):
     """An immutable bitvector supporting rank and select for both bits.
 
     Queries follow the paper's conventions:
@@ -90,7 +85,8 @@ class BitVector:
       of bit ``b``, or ``-1`` when there are fewer than ``k``.
     """
 
-    __slots__ = ("_words", "_n", "_ones", "_rank_dir")
+    _STORED = ("_words", "_n", "_ones", "_rank_dir")
+    __slots__ = _STORED + ("_wv", "_rv")
 
     def __init__(self, bits: np.ndarray | Sequence[int] | Iterable[int]):
         arr = np.asarray(
@@ -108,10 +104,19 @@ class BitVector:
             packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
         words = packed.view(_U64)
         self._words = words
-        counts = _popcount_words(words) if words.size else np.zeros(0, dtype=np.int64)
         # _rank_dir[i] = number of 1s strictly before word i.
-        self._rank_dir = np.concatenate([[0], np.cumsum(counts)])
+        self._rank_dir = np.concatenate(
+            [[0], np.cumsum(np.bitwise_count(words), dtype=np.int64)]
+        )
         self._ones = int(self._rank_dir[-1])
+        self._derive()
+
+    def _derive(self) -> None:
+        """Zero-copy memoryviews the scalar kernels read: indexing one
+        yields a Python ``int`` without boxing a numpy scalar, and a view
+        of a read-only segment is itself read-only."""
+        self._wv = memoryview(self._words)
+        self._rv = memoryview(self._rank_dir)
 
     @classmethod
     def from_positions(cls, positions: Iterable[int], length: int) -> "BitVector":
@@ -144,7 +149,7 @@ class BitVector:
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError(f"bit index {i} out of range (n={self._n})")
-        return (self._words.item(i >> 6) >> (i & 63)) & 1
+        return (self._wv[i >> 6] >> (i & 63)) & 1
 
     def to_array(self) -> np.ndarray:
         """Unpack into a uint8 array of 0/1 values."""
@@ -156,12 +161,10 @@ class BitVector:
         """Number of 1s in positions ``[0, i)``."""
         if not 0 <= i <= self._n:
             raise IndexError(f"rank position {i} out of range (n={self._n})")
-        widx = i >> 6
         off = i & 63
-        r = self._rank_dir.item(widx)
         if off:
-            r += (self._words.item(widx) & ((1 << off) - 1)).bit_count()
-        return r
+            return self._rv[i >> 6] + (self._wv[i >> 6] & ((1 << off) - 1)).bit_count()
+        return self._rv[i >> 6]
 
     def rank0(self, i: int) -> int:
         """Number of 0s in positions ``[0, i)``."""
@@ -189,13 +192,12 @@ class BitVector:
         if int(idx.min()) < 0 or int(idx.max()) > self._n:
             raise IndexError(f"rank position out of range (n={self._n})")
         widx = idx >> 6
-        off = idx & 63
-        out = self._rank_dir[widx].astype(np.int64, copy=True)
-        partial = off > 0  # widx < words.size exactly where a partial word exists
-        if partial.any():
-            words = self._words[widx[partial]]
-            mask = (_U64(1) << off[partial].astype(_U64)) - _U64(1)
-            out[partial] += _popcount_u64(words & mask)
+        out = self._rank_dir[widx]
+        if self._words.size:
+            # i == n on a word boundary gathers past the end; "clip" reads
+            # the last word instead, which its all-zero mask discards.
+            words = self._words.take(widx, mode="clip")
+            out += np.bitwise_count(words & _LOW_BITS[idx & 63])
         return out
 
     def rank0_many(self, positions) -> np.ndarray:
@@ -210,48 +212,32 @@ class BitVector:
     def select1_many(self, ks) -> np.ndarray:
         """Vectorised :meth:`select1`; out-of-range ranks yield ``-1``."""
         k = np.asarray(ks, dtype=np.int64)
-        out = np.full(k.shape, -1, dtype=np.int64)
-        valid = (k >= 1) & (k <= self._ones)
-        if not valid.any():
-            return out
-        kv = k[valid]
-        widx = np.searchsorted(self._rank_dir, kv, side="left") - 1
-        remaining = kv - self._rank_dir[widx]
-        pos = _select_in_words_many(self._words[widx], remaining)
-        out[valid] = (widx << 6) + pos
-        return out
+        return _where_valid(k, (k >= 1) & (k <= self._ones), self._select1_valid)
+
+    def _select1_valid(self, k: np.ndarray) -> np.ndarray:
+        widx = np.searchsorted(self._rank_dir, k, side="left") - 1
+        pos = _select_in_words_many(self._words[widx], k - self._rank_dir[widx])
+        return (widx << 6) + pos
 
     def select0_many(self, ks) -> np.ndarray:
-        """Vectorised :meth:`select0`; out-of-range ranks yield ``-1``.
-
-        Batched binary search over the rank directory (zeros before word
-        ``i`` = ``64*i - rank_dir[i]``), mirroring the scalar code path.
-        """
+        """Vectorised :meth:`select0`; out-of-range ranks yield ``-1``."""
         k = np.asarray(ks, dtype=np.int64)
-        out = np.full(k.shape, -1, dtype=np.int64)
-        valid = (k >= 1) & (k <= self._n - self._ones)
-        if not valid.any():
-            return out
-        kv = k[valid]
-        lo = np.zeros(kv.shape, dtype=np.int64)
-        hi = np.full(kv.shape, len(self._rank_dir) - 1, dtype=np.int64)
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo[active] + hi[active] + 1) >> 1
-            below = ((mid << 6) - self._rank_dir[mid]) < kv[active]
-            nlo = lo[active]
-            nhi = hi[active]
-            nlo[below] = mid[below]
-            nhi[~below] = mid[~below] - 1
-            lo[active] = nlo
-            hi[active] = nhi
-        widx = lo
-        remaining = kv - ((widx << 6) - self._rank_dir[widx])
-        pos = _select_in_words_many(~self._words[widx], remaining)
-        out[valid] = (widx << 6) + pos
-        return out
+        return _where_valid(k, (k >= 1) & (k <= self._n - self._ones), self._select0_valid)
+
+    def _select0_valid(self, k: np.ndarray) -> np.ndarray:
+        # Branchless batched binary search for the last word with fewer
+        # than k zeros before it (64*i - rank_dir[i] < k): a fixed
+        # ceil(log2(words + 1)) rounds, so every lane advances together and
+        # no round compresses the batch. A probe past the last word reads
+        # the last entry ("clip"), whose zero count already reaches k.
+        rank_dir = self._rank_dir
+        lo = np.zeros(k.shape, dtype=np.int64)
+        for shift in range((rank_dir.size - 1).bit_length() - 1, -1, -1):
+            probe = lo + (1 << shift)
+            below = (probe << 6) - rank_dir.take(probe, mode="clip") < k
+            lo = np.where(below, probe, lo)
+        remaining = k - ((lo << 6) - rank_dir[lo])
+        return (lo << 6) + _select_in_words_many(~self._words[lo], remaining)
 
     def select_many(self, bit: int, ks) -> np.ndarray:
         """Dispatching bulk select for bit ``b``."""
@@ -263,29 +249,27 @@ class BitVector:
         """Position of the k-th (1-based) set bit, or -1 if ``k > num_ones``."""
         if k < 1 or k > self._ones:
             return -1
-        # Find the word holding the k-th one: first index with rank_dir >= k.
-        widx = int(self._rank_dir.searchsorted(k)) - 1
-        remaining = k - self._rank_dir.item(widx)
-        return (widx << 6) + _select_in_word(self._words.item(widx), remaining)
+        # The word holding the k-th one: first directory entry >= k, less one.
+        widx = bisect_left(self._rv, k) - 1
+        return (widx << 6) + _select_in_word(self._wv[widx], k - self._rv[widx])
 
     def select0(self, k: int) -> int:
         """Position of the k-th (1-based) clear bit, or -1 if ``k > num_zeros``."""
         if k < 1 or k > self._n - self._ones:
             return -1
         # zeros before word i = 64*i - rank_dir[i]; binary search on it.
-        rank_dir = self._rank_dir
-        lo, hi = 0, len(rank_dir) - 1
+        # The k-th zero sits at k - 1 + (ones before it), which bounds its
+        # word between (k - 1) / 64 and (k - 1 + ones) / 64.
+        rank_dir = self._rv
+        lo, hi = (k - 1) >> 6, min(len(rank_dir) - 1, (k - 1 + self._ones) >> 6)
         while lo < hi:
-            mid = (lo + hi + 1) // 2
-            zeros_before = (mid << 6) - rank_dir.item(mid)
-            if zeros_before < k:
+            mid = (lo + hi + 1) >> 1
+            if (mid << 6) - rank_dir[mid] < k:
                 lo = mid
             else:
                 hi = mid - 1
-        widx = lo
-        remaining = k - ((widx << 6) - rank_dir.item(widx))
-        word = ~self._words.item(widx) & ((1 << _WORD) - 1)
-        return (widx << 6) + _select_in_word(word, remaining)
+        word = ~self._wv[lo] & 0xFFFFFFFFFFFFFFFF
+        return (lo << 6) + _select_in_word(word, k - ((lo << 6) - rank_dir[lo]))
 
     def select(self, bit: int, k: int) -> int:
         """Dispatching select for bit ``b``."""
@@ -333,6 +317,7 @@ class BitVector:
         bv._ones = int(bundle.meta["ones"])
         if bv._rank_dir.size != bv._words.size + 1 or int(bv._rank_dir[-1]) != bv._ones:
             raise InvalidParameterError("corrupt BitVector bundle header")
+        bv._derive()
         return bv
 
 
@@ -347,12 +332,20 @@ def _select_in_word(word: int, k: int) -> int:
     """Position (0-based) of the k-th (1-based) set bit inside ``word``.
 
     ``word`` must contain at least ``k`` set bits. Halves the window three
-    times by popcount, then finishes inside one byte with the table.
+    times by popcount (unrolled: this runs once per scalar select), then
+    finishes inside one byte with the table.
     """
     pos = 0
-    for width, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF)):
-        ones = ((word >> pos) & mask).bit_count()
-        if ones < k:
-            k -= ones
-            pos += width
-    return pos + _SELECT8_ROWS[(word >> pos) & 0xFF][k - 1]
+    ones = (word & 0xFFFFFFFF).bit_count()
+    if ones < k:
+        k -= ones
+        pos = 32
+    ones = ((word >> pos) & 0xFFFF).bit_count()
+    if ones < k:
+        k -= ones
+        pos += 16
+    ones = ((word >> pos) & 0xFF).bit_count()
+    if ones < k:
+        k -= ones
+        pos += 8
+    return pos + _SELECT8_ROWS[(word >> pos) & 0xFF][k]

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .storage import StorageBundle, expected_array, register_structure
+from .storage import DerivedState, StorageBundle, expected_array, register_structure
 
 _WORD = 64
 _U64 = np.uint64
@@ -38,14 +38,15 @@ def bits_needed(max_value: int) -> int:
     return max(1, int(max_value).bit_length())
 
 
-class IntVector(Sequence[int]):
+class IntVector(Sequence[int], DerivedState):
     """An immutable sequence of ``n`` fixed-width unsigned integers.
 
     Build one with :meth:`from_iterable` (python loop, any iterable) or
     :meth:`from_array` (vectorised, numpy input). Random access is O(1).
     """
 
-    __slots__ = ("_words", "_n", "_width", "_mask")
+    _STORED = ("_words", "_n", "_width", "_mask")
+    __slots__ = _STORED + ("_wv",)
 
     def __init__(self, words: np.ndarray, n: int, width: int):
         if width < 1 or width > 64:
@@ -56,6 +57,11 @@ class IntVector(Sequence[int]):
         self._n = n
         self._width = width
         self._mask = (1 << width) - 1
+        self._derive()
+
+    def _derive(self) -> None:
+        """Zero-copy memoryview the scalar ``__getitem__`` reads."""
+        self._wv = memoryview(self._words)
 
     # -- construction ----------------------------------------------------
 
@@ -120,10 +126,9 @@ class IntVector(Sequence[int]):
         pos = i * self._width
         widx = pos >> 6
         off = pos & 63
-        words = self._words
-        value = int(words[widx]) >> off
+        value = self._wv[widx] >> off
         if off + self._width > _WORD:
-            value |= int(words[widx + 1]) << (_WORD - off)
+            value |= self._wv[widx + 1] << (_WORD - off)
         return value & self._mask
 
     def get_many(self, indices: np.ndarray) -> np.ndarray:
@@ -193,6 +198,7 @@ class IntVector(Sequence[int]):
         if iv._width < 1 or iv._width > 64 or iv._n < 0:
             raise InvalidParameterError("corrupt IntVector bundle header")
         iv._mask = (1 << iv._width) - 1
+        iv._derive()
         return iv
 
 

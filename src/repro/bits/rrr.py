@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .bitvector import _POP16
 from .intvector import IntVector, bits_needed
 from .storage import StorageBundle, attach_structure, expected_array, register_structure
 
@@ -263,7 +262,7 @@ class RRRBitVector:
             k = self._classes.get_many(block[partial])
             offs = self._read_offset_many(position[partial], _OFFSET_WIDTH_ARR[k])
             bits = _decode_table()[(k << 13) | offs].astype(np.int64)
-            rank[partial] += _POP16[bits & ((1 << within[partial]) - 1)]
+            rank[partial] += np.bitwise_count(bits & ((1 << within[partial]) - 1))
         out[nonzero] = rank
         return out
 

@@ -25,6 +25,10 @@ Invariant: query code never writes into ``_words``-style arrays, so a
 structure backed by a read-only buffer behaves exactly like an owning
 one. Anything that *would* write (construction helpers) only runs in
 ``__init__``, which attach bypasses via ``cls.__new__``.
+
+Derived state — memoryviews over the arrays, the wavelet matrix's bucket
+table — is recomputed after construction, attach and unpickling
+(:class:`DerivedState`); it never enters a bundle or a pickle.
 """
 
 from __future__ import annotations
@@ -117,6 +121,32 @@ class StorageBundle:
             kind=header["kind"], meta=dict(header.get("meta", {})),
             arrays=arrays, children=children,
         )
+
+
+class DerivedState:
+    """Mixin for slotted structures that keep derived slots.
+
+    ``_STORED`` names the slots that describe the structure; every other
+    slot is rebuilt by ``_derive()``. Pickling keeps exactly the stored
+    slots in the ``(None, {slot: value})`` state a plain slotted class
+    gets from ``object.__reduce_ex__``, so files written before a derived
+    slot existed still load, and files written now load in builds that
+    never had one.
+    """
+
+    __slots__ = ()
+    _STORED: Tuple[str, ...] = ()
+
+    def _derive(self) -> None:
+        raise NotImplementedError
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self._STORED}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._derive()
 
 
 def expected_array(bundle: StorageBundle, name: str, dtype: str) -> np.ndarray:

@@ -24,10 +24,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .bitvector import BitVector
+from .bitvector import BitVector, _where_valid
 from .huffman import canonical_code
 from .rrr import RRRBitVector
-from .storage import StorageBundle, attach_structure, register_structure
+from .storage import DerivedState, StorageBundle, attach_structure, register_structure
 
 
 def _bitvector_factory(compressed: bool):
@@ -35,15 +35,23 @@ def _bitvector_factory(compressed: bool):
     return RRRBitVector if compressed else BitVector
 
 
-class WaveletMatrix:
+class WaveletMatrix(DerivedState):
     """Balanced wavelet matrix over an integer alphabet ``[0, sigma)``.
 
     With ``compressed=True`` the per-level bitvectors are RRR-compressed
     (``~H0`` bits per level instead of 1), trading query constant factors
     for space — the Theorem 2 entropy-compressed rows.
+
+    Every code ``c`` in ``[0, 2**nbits)`` owns a *bucket* on the bottom
+    level: the range its occurrences fill there, ordered by bit-reversed
+    code. The bucket table (``2**nbits + 1`` offsets) is derived once per
+    build, attach or unpickle, so ``rank`` walks only the query position
+    down the bit-planes, ``select`` only ascends from the bucket, and
+    ``count`` is two table reads.
     """
 
-    __slots__ = ("_n", "_sigma", "_nbits", "_levels", "_zeros")
+    _STORED = ("_n", "_sigma", "_nbits", "_levels", "_zeros")
+    __slots__ = _STORED + ("_buckets", "_slot", "_walk")
 
     def __init__(
         self, data: np.ndarray, sigma: int | None = None, compressed: bool = False
@@ -74,6 +82,31 @@ class WaveletMatrix:
             self._zeros.append(bv.num_zeros)
             # Stable partition: zero-bit symbols first, preserving order.
             cur = np.concatenate([cur[bits == 0], cur[bits == 1]])
+        self._derive()
+
+    def _derive(self) -> None:
+        """The per-level walk plan ``(bitvector, zeros, code bit mask)`` and
+        the bucket table, from one vectorised descent of every code's
+        bucket start."""
+        nbits = self._nbits
+        self._walk = tuple(
+            (bv, z, 1 << (nbits - 1 - lvl))
+            for lvl, (bv, z) in enumerate(zip(self._levels, self._zeros))
+        )
+        codes = np.arange(1 << nbits, dtype=np.int64)
+        starts = np.zeros(codes.size, dtype=np.int64)
+        for bv, z, mask in self._walk:
+            ones = bv.rank1_many(starts)
+            starts = np.where(codes & mask, z + ones, starts - ones)
+        # Buckets sit on the bottom level in bit-reversed code order.
+        slot = np.zeros(codes.size, dtype=np.int64)
+        for lvl in range(nbits):
+            slot |= ((codes >> lvl) & 1) << (nbits - 1 - lvl)
+        table = np.empty(codes.size + 1, dtype=np.int64)
+        table[slot] = starts
+        table[-1] = self._n
+        self._buckets: List[int] = table.tolist()
+        self._slot: List[int] = slot.tolist()
 
     # -- queries -----------------------------------------------------------
 
@@ -84,6 +117,13 @@ class WaveletMatrix:
     def sigma(self) -> int:
         """Alphabet size the matrix was built for."""
         return self._sigma
+
+    def count(self, c: int) -> int:
+        """Occurrences of ``c`` in the whole sequence (two table reads)."""
+        if not 0 <= c < len(self._slot):
+            return 0
+        s = self._slot[c]
+        return self._buckets[s + 1] - self._buckets[s]
 
     def access(self, i: int) -> int:
         """Symbol at position ``i`` of the original sequence."""
@@ -101,75 +141,54 @@ class WaveletMatrix:
         return self.access(i)
 
     def rank(self, c: int, i: int) -> int:
-        """Occurrences of symbol ``c`` in positions ``[0, i)``."""
+        """Occurrences of symbol ``c`` in positions ``[0, i)``: one rank
+        per level walks ``i`` into ``c``'s bucket."""
         if not 0 <= i <= self._n:
             raise IndexError(f"rank position {i} out of range (n={self._n})")
-        if c < 0 or c >= (1 << self._nbits):
+        if not 0 <= c < len(self._slot):
             return 0
-        p, s = self._descend(c, i)
-        return p - s
-
-    def _descend(self, c: int, i: int) -> Tuple[int, int]:
-        """Walk position ``i`` and the start of ``c``'s bucket down the
-        bit-planes together; returns both at the bottom level, where
-        ``p - s == rank(c, i)``. From ``i = n`` the pair bounds the whole
-        bucket, ``[s, p)``. ``c`` must lie in ``[0, 2**nbits)``."""
-        p, s = i, 0
-        for lvl, bv in enumerate(self._levels):
-            if (c >> (self._nbits - 1 - lvl)) & 1:
-                z = self._zeros[lvl]
-                p = z + bv.rank1(p)
-                s = z + bv.rank1(s)
+        for bv, z, mask in self._walk:
+            if c & mask:
+                i = z + bv.rank1(i)
             else:
-                p -= bv.rank1(p)
-                s -= bv.rank1(s)
-        return p, s
+                i -= bv.rank1(i)
+        return i - self._buckets[self._slot[c]]
 
     def rank_pair(self, c: int, i: int, j: int) -> Tuple[int, int]:
-        """``(rank(c, i), rank(c, j))`` from one walk down the bit-planes:
-        the bucket offset ``s`` is shared, so the pair costs three ranks
-        per level instead of four."""
+        """``(rank(c, i), rank(c, j))``: both positions ride one loop over
+        the bit-planes and share the bucket lookup."""
         if not (0 <= i <= self._n and 0 <= j <= self._n):
             raise IndexError(f"rank position out of range (n={self._n})")
-        if c < 0 or c >= (1 << self._nbits):
+        if not 0 <= c < len(self._slot):
             return 0, 0
-        p, q, s = i, j, 0
-        for lvl, bv in enumerate(self._levels):
-            if (c >> (self._nbits - 1 - lvl)) & 1:
-                z = self._zeros[lvl]
-                p = z + bv.rank1(p)
-                q = z + bv.rank1(q)
-                s = z + bv.rank1(s)
+        for bv, z, mask in self._walk:
+            if c & mask:
+                i = z + bv.rank1(i)
+                j = z + bv.rank1(j)
             else:
-                p -= bv.rank1(p)
-                q -= bv.rank1(q)
-                s -= bv.rank1(s)
-        return p - s, q - s
+                i -= bv.rank1(i)
+                j -= bv.rank1(j)
+        s = self._buckets[self._slot[c]]
+        return i - s, j - s
 
     # -- bulk kernels --------------------------------------------------------
 
     def rank_many(self, c: int, positions) -> np.ndarray:
         """Vectorised :meth:`rank`: one walk down the bit-planes advances
-        the whole position array (the bucket offset ``s`` depends only on
-        ``c`` and stays scalar)."""
+        the whole position array; the bucket start is a table read."""
         p = np.asarray(positions, dtype=np.int64)
         if p.size == 0:
             return np.zeros(p.shape, dtype=np.int64)
         if int(p.min()) < 0 or int(p.max()) > self._n:
             raise IndexError(f"rank position out of range (n={self._n})")
-        if c < 0 or c >= (1 << self._nbits):
+        if not 0 <= c < len(self._slot):
             return np.zeros(p.shape, dtype=np.int64)
-        s = 0
-        for lvl, bv in enumerate(self._levels):
-            bit = (c >> (self._nbits - 1 - lvl)) & 1
-            if bit:
-                z = self._zeros[lvl]
+        for bv, z, mask in self._walk:
+            if c & mask:
                 p = z + bv.rank1_many(p)
-                s = z + bv.rank1(s)
             else:
-                p = bv.rank0_many(p)
-                s = bv.rank0(s)
-        return p - s
+                p = p - bv.rank1_many(p)
+        return p - self._buckets[self._slot[c]]
 
     def rank_pairs(self, c: int, los, his) -> tuple:
         """Bulk rank at both endpoints of (lo, hi) interval arrays; each
@@ -188,10 +207,9 @@ class WaveletMatrix:
     def _ascend(self, c: int, pos: int) -> int:
         """Map a bottom-level position of ``c``'s bucket back to the
         original sequence by one select per level."""
-        for lvl in range(self._nbits - 1, -1, -1):
-            bv = self._levels[lvl]
-            if (c >> (self._nbits - 1 - lvl)) & 1:
-                pos = bv.select1(pos - self._zeros[lvl] + 1)
+        for bv, z, mask in reversed(self._walk):
+            if c & mask:
+                pos = bv.select1(pos - z + 1)
             else:
                 pos = bv.select0(pos + 1)
         return pos
@@ -199,37 +217,37 @@ class WaveletMatrix:
     def select_many(self, c: int, ks) -> np.ndarray:
         """Vectorised :meth:`select`; invalid ranks yield ``-1``."""
         k = np.asarray(ks, dtype=np.int64)
-        out = np.full(k.shape, -1, dtype=np.int64)
-        if c < 0 or c >= (1 << self._nbits) or k.size == 0:
-            return out
-        end, start = self._descend(c, self._n)
-        valid = (k >= 1) & (k <= end - start)
-        if not valid.any():
-            return out
-        # Scalar descent to c's bucket, vectorised ascent by selects.
-        pos = start + k[valid] - 1
-        for lvl in range(self._nbits - 1, -1, -1):
-            bv = self._levels[lvl]
-            if (c >> (self._nbits - 1 - lvl)) & 1:
-                pos = bv.select1_many(pos - self._zeros[lvl] + 1)
+        if not 0 <= c < len(self._slot) or k.size == 0:
+            return np.full(k.shape, -1, dtype=np.int64)
+        s = self._slot[c]
+        start = self._buckets[s]
+        valid = (k >= 1) & (k <= self._buckets[s + 1] - start)
+        return _where_valid(k, valid, lambda kv: self._ascend_many(c, start + kv - 1))
+
+    def _ascend_many(self, c: int, pos: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`_ascend`."""
+        for bv, z, mask in reversed(self._walk):
+            if c & mask:
+                pos = bv.select1_many(pos - z + 1)
             else:
                 pos = bv.select0_many(pos + 1)
-        out[valid] = pos
-        return out
+        return pos
 
     def select(self, c: int, k: int) -> int:
         """Position of the k-th (1-based) ``c``, or ``-1`` if absent."""
-        if k < 1 or c < 0 or c >= (1 << self._nbits):
+        if k < 1 or not 0 <= c < len(self._slot):
             return -1
-        end, start = self._descend(c, self._n)
-        return self._ascend(c, start + k - 1) if start + k <= end else -1
+        s = self._slot[c]
+        pos = self._buckets[s] + k - 1
+        return self._ascend(c, pos) if pos < self._buckets[s + 1] else -1
 
     def select_pair(self, c: int, j: int, k: int) -> Tuple[int, int]:
-        """``(select(c, j), select(c, k))`` sharing one bucket descent."""
-        if c < 0 or c >= (1 << self._nbits):
+        """``(select(c, j), select(c, k))`` sharing one bucket lookup."""
+        if not 0 <= c < len(self._slot):
             return -1, -1
-        end, start = self._descend(c, self._n)
-        count = end - start
+        s = self._slot[c]
+        start = self._buckets[s]
+        count = self._buckets[s + 1] - start
         return (
             self._ascend(c, start + j - 1) if 1 <= j <= count else -1,
             self._ascend(c, start + k - 1) if 1 <= k <= count else -1,
@@ -248,8 +266,10 @@ class WaveletMatrix:
         return sum(bv.size_in_bits() for bv in self._levels)
 
     def overhead_in_bits(self) -> int:
-        """Rank-directory overhead across levels."""
-        return sum(bv.overhead_in_bits() for bv in self._levels)
+        """Rank-directory overhead across levels, plus the bucket table at
+        ``ceil(log2(n + 1))`` bits per offset."""
+        table = len(self._buckets) * self._n.bit_length()
+        return table + sum(bv.overhead_in_bits() for bv in self._levels)
 
     def __repr__(self) -> str:
         return f"WaveletMatrix(n={self._n}, sigma={self._sigma}, levels={self._nbits})"
@@ -260,7 +280,8 @@ class WaveletMatrix:
         """Scalars plus one child bundle per level bitvector.
 
         Each level records its own kind (plain or RRR), so mixed layouts
-        round-trip without a separate ``compressed`` flag.
+        round-trip without a separate ``compressed`` flag. The bucket
+        table is derived state and is rebuilt on attach.
         """
         return StorageBundle(
             kind="WaveletMatrix",
@@ -288,6 +309,7 @@ class WaveletMatrix:
         ]
         if len(wm._zeros) != wm._nbits:
             raise InvalidParameterError("corrupt WaveletMatrix bundle header")
+        wm._derive()
         return wm
 
 

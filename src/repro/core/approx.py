@@ -210,14 +210,14 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     # the engine interface consumed by repro.engine.TrieBatchPlanner.
 
     def _start_state(self, c: int) -> Optional[Tuple[int, int]]:
-        first = int(self._c[c])
-        last = int(self._c[c + 1]) - 1
+        first = self._c.item(c)
+        last = self._c.item(c + 1) - 1
         return (first, last) if first <= last else None
 
     def _step_state(self, state: Tuple[int, int], c: int) -> Optional[Tuple[int, int]]:
         first, last = state
         h = self._h
-        lo, hi = int(self._c[c]), int(self._c[c + 1]) - 1
+        lo, hi = self._c.item(c), self._c.item(c + 1) - 1
         if hi < lo:
             return None  # symbol absent from the text
         succ = self._successor(c, first)
@@ -238,14 +238,14 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         return (first, last) if first <= last else None
 
     def start(self, ch: str) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._start_state(int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._start_state(c)
 
     def step(
         self, state: Tuple[int, int], ch: str
     ) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._step_state(state, int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._step_state(state, c)
 
     def count_state(self, state: Optional[Tuple[int, int]]) -> int:
         return 0 if state is None else state[1] - state[0] + 1
@@ -255,10 +255,9 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         array sweeps over B's bulk rank/select kernels. Each sweep settles
         in <= 2 extra iterations (at most two discriminants of one symbol
         share a block), so the whole batch costs O(1) vectorized passes."""
-        encoded = self._alphabet.encode_pattern(ch)
-        if encoded is None:
+        c = self._alphabet.code(ch)
+        if c is None:
             return [None] * len(states)
-        c = int(encoded[0])
         arr = pack_interval_states(states)
         k = arr.shape[0]
         h = self._h
@@ -267,7 +266,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
                 np.zeros(k, dtype=bool))
         if hi < lo:
             return unpack_interval_states(*dead)  # symbol absent
-        total = self._b.rank(c, len(self._b))
+        total = self._b.count(c)
         if total == 0:
             return unpack_interval_states(*dead)
         p1, d1, ok1 = self._successor_many(c, arr[:, 0], total)
@@ -308,7 +307,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     def _successor(self, c: int, x: int) -> Optional[Tuple[int, int]]:
         """Smallest discriminant of ``c`` at position >= x, with its rank."""
-        total = self._b.rank(c, len(self._b))
+        total = self._b.count(c)
         if total == 0:
             return None
         block = x // self._h
@@ -335,8 +334,8 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     def _lf_discriminant(self, c: int, p: int) -> int:
         """Fact 1: LF of the p-th discriminant of ``c`` (0-based rows)."""
-        n_c = int(self._c[c + 1] - self._c[c])
-        return int(self._c[c]) + min((p - 1) * self._h, n_c - 1)
+        first = self._c.item(c)
+        return first + min((p - 1) * self._h, self._c.item(c + 1) - first - 1)
 
     # -- bulk D_c machinery ---------------------------------------------------
 

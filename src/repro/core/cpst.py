@@ -164,16 +164,16 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     # the engine interface consumed by repro.engine.TrieBatchPlanner.
 
     def _start_state(self, c: int) -> Optional[Tuple[int, int]]:
-        u = int(self._c[c]) + 1
-        z = int(self._c[c + 1])
+        u = self._c.item(c) + 1
+        z = self._c.item(c + 1)
         return (u, z) if u <= z else None  # else: no kept node starts with c
 
     def _step_state(self, state: Tuple[int, int], c: int) -> Optional[Tuple[int, int]]:
         # Theorem 9 at both ends of the node range: c_u and c_z count the
         # inverse suffix links for c in nodes [0, u) and [0, z], i.e.
         # rank_c(S, select_#(S, k)) for k = u and k = z + 1 (u >= 1: the
-        # root is never a search state). Both selects share one descent
-        # to the # bucket and both ranks one walk down c's bit-planes.
+        # root is never a search state). Both selects ascend from the #
+        # bucket and both ranks walk down c's bit-planes together.
         u, z = state
         end_u, end_z = self._s.select_pair(self._hash_sym, u, z + 1)
         c_u, c_z = self._s.rank_pair(c, end_u, end_z)
@@ -183,14 +183,14 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return base + c_u + 1, base + c_z
 
     def start(self, ch: str) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._start_state(int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._start_state(c)
 
     def step(
         self, state: Tuple[int, int], ch: str
     ) -> Optional[Tuple[int, int]]:
-        encoded = self._alphabet.encode_pattern(ch)
-        return None if encoded is None else self._step_state(state, int(encoded[0]))
+        c = self._alphabet.code(ch)
+        return None if c is None else self._step_state(state, c)
 
     def count_state(self, state: Optional[Tuple[int, int]]) -> int:
         return 0 if state is None else self._cnt(state[0], state[1])
@@ -198,10 +198,9 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     def step_many(self, states, ch):
         """Bulk virtual-ISL step: both Theorem 9 boundaries of every
         interval ride one stacked select+rank pass over S."""
-        encoded = self._alphabet.encode_pattern(ch)
-        if encoded is None:
+        c = self._alphabet.code(ch)
+        if c is None:
             return [None] * len(states)
-        c = int(encoded[0])
         arr = pack_interval_states(states)
         k = arr.shape[0]
         links = self._links_before_many(
@@ -214,20 +213,16 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     def capabilities(self) -> AutomatonCapabilities:
         # One virtual-ISL step evaluates Theorem 9's rank_c(S, select_#(S, k))
         # at both ends of the node range: two selects plus two ranks on S,
-        # 4 logical operations (the scalar step fuses their descents).
+        # 4 logical operations (one bitvector op per level each).
         return AutomatonCapabilities(
             lower_sided=True, threshold=self._l, rank_ops_per_step=4, vectorized=True
         )
 
     def _links_before_many(self, c: int, ks: np.ndarray) -> np.ndarray:
         """Number of inverse suffix links for ``c`` in nodes ``[0, k)`` for
-        every ``k`` (Theorem 9's ``rank_c(S, select_#(S, k))``)."""
-        out = np.zeros(ks.shape, dtype=np.int64)
-        nonzero = ks > 0
-        if nonzero.any():
-            ends = self._s.select_many(self._hash_sym, ks[nonzero])
-            out[nonzero] = self._s.rank_many(c, ends)
-        return out
+        every ``k >= 1`` (Theorem 9's ``rank_c(S, select_#(S, k))``; the
+        root is never a search state, so every bound is at least 1)."""
+        return self._s.rank_many(c, self._s.select_many(self._hash_sym, ks))
 
     def _cnt(self, u: int, z: int) -> int:
         """Paper Lemma 3: total correction factors over node ids [u, z]."""

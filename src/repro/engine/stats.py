@@ -70,14 +70,18 @@ class EngineStats:
     bulk_calls: int = 0
     bulk_states: int = 0
 
+    # The resilient ladder snapshots, subtracts and merges these counters
+    # on every tier attempt, so the arithmetic walks the field names once
+    # fixed at import (_COUNTERS).
+
     def copy(self) -> "EngineStats":
         """An independent snapshot of the current counters."""
-        return EngineStats(**self.as_dict())
+        return EngineStats(*[getattr(self, name) for name in _COUNTERS])
 
     def merge(self, other: "EngineStats") -> "EngineStats":
         """Add ``other``'s counters into this instance (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def __add__(self, other: "EngineStats") -> "EngineStats":
@@ -86,15 +90,12 @@ class EngineStats:
     def __sub__(self, other: "EngineStats") -> "EngineStats":
         """Delta snapshot: counters accumulated since ``other`` was taken."""
         return EngineStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
+            *[getattr(self, name) - getattr(other, name) for name in _COUNTERS]
         )
 
     def as_dict(self) -> dict:
         """Plain-dict view (stable key order) for JSON artefacts."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     def summary(self) -> str:
         """One-line operator-facing description."""
@@ -110,3 +111,6 @@ class EngineStats:
             f"{self.state_cache_evictions}e, "
             f"{self.deadline_checks} deadline checks{bulk}"
         )
+
+
+_COUNTERS = tuple(f.name for f in fields(EngineStats))

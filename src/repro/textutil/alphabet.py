@@ -83,6 +83,16 @@ class Alphabet:
             return None
         return np.asarray(ids, dtype=np.int64)
 
+    def code(self, ch: str) -> Optional[int]:
+        """Symbol id of one character, or ``None`` when ``ch`` is not a
+        mapped single character (one dict lookup; the automaton steps'
+        per-character path).
+
+        >>> Alphabet("cab").code("b"), Alphabet("cab").code("z")
+        (2, None)
+        """
+        return self._char_to_id.get(ch)
+
     def decode(self, symbols: np.ndarray | Iterable[int]) -> str:
         """Map symbol ids back to a string (sentinel renders as ``$``)."""
         arr = np.asarray(
