@@ -9,7 +9,7 @@ swaps generations under live traffic with a drain barrier. It implements
 :class:`~repro.core.interface.OccurrenceEstimator`, so it drops into the
 existing service ladder (``Tier(supervisor, "daemon")`` behind a
 :class:`~repro.service.server.QueryServer` or
-:class:`~repro.service.server.AsyncQueryServer`) unchanged.
+:class:`~repro.parallel.asyncserver.AsyncQueryServer`) unchanged.
 
 Generation flip ordering (the invariants the chaos suite pins down)::
 

@@ -11,6 +11,8 @@ the corruption watchdog all treat it exactly like an index-backed rung:
 - ``wants_feedback``/``observe`` close the loop: the ladder reports each
   served outcome back, which is the *only* way exact counts enter the
   store — the hot tier never runs its own search.
+- ``upgrades_shed``/``shed_upgrade`` tighten an overload shed answer
+  with an exact cached count or a strictly tighter store bound.
 - the watchdog probes it differentially like any tier; a quarantine
   rebuild swaps in a fresh :class:`_HotBackend` whose store starts cold
   (cold means it declines, and declining is always sound).
@@ -94,6 +96,7 @@ class HotTierRung(Tier):
     """The frequency-aware rung the ladder tries before CPST."""
 
     wants_feedback = True
+    upgrades_shed = True
 
     def __init__(
         self,
@@ -160,6 +163,28 @@ class HotTierRung(Tier):
         else:
             effective = model
         self.estimator.hot.observe(pattern, int(count), effective)
+
+    def shed_upgrade(
+        self, pattern: str, count: int
+    ) -> Optional[Tuple[int, ErrorModel]]:
+        """Replace the shed bound ``count`` only with something better.
+
+        An exact cached count always wins; a store bound wins only when
+        it is strictly tighter, so an upgraded shed answer is never wider
+        than the statistics bound it replaces. A miss still warms the
+        store's frequency sketch: sustained overload traffic becomes
+        servable even though the ladder never sees it.
+        """
+        hit = self.shed_lookup(pattern)
+        hot = self.estimator.hot
+        if hit is None:
+            hot.note_warm(pattern)
+            return None
+        value, model = hit
+        if model is not ErrorModel.EXACT and value >= count:
+            return None
+        hot.note_shed_upgrade()
+        return hit
 
     def shed_lookup(self, pattern: str) -> Optional[Tuple[int, ErrorModel]]:
         """Best-effort store answer for the overload shed path.

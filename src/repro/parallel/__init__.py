@@ -14,11 +14,12 @@ Three layers, each usable alone:
   processes attached to shared segments, a batched pipe protocol, and
   the same fan-out core, merge algebra and quarantine lifecycle.
 * :mod:`repro.parallel.asyncserver` — :class:`AsyncQueryServer`, the
-  asyncio front over a degradation ladder (await-based admission,
-  bulkheads and hedging).
+  asyncio front over :class:`~repro.service.server.QueryServer`: it
+  awaits admission on the loop and runs each admitted query's ladder
+  walk (hedged or not) in one thread hop.
 """
 
-from .asyncserver import AsyncBulkhead, AsyncQueryServer
+from .asyncserver import AsyncQueryServer
 from .executor import ProcessShardedEstimator
 from .pool import PublishedSegment, SegmentPool, attach_shared_segment
 from .segment import (
@@ -34,7 +35,6 @@ __all__ = [
     "ALIGNMENT",
     "SEGMENT_MAGIC",
     "SEGMENT_VERSION",
-    "AsyncBulkhead",
     "AsyncQueryServer",
     "ProcessShardedEstimator",
     "PublishedSegment",

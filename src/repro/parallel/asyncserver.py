@@ -1,124 +1,50 @@
 """Asyncio serving front over a degradation ladder.
 
-:class:`AsyncQueryServer` is the event-loop sibling of the thread-based
-:class:`~repro.service.server.QueryServer`, reusing the same building
-blocks — the :class:`~repro.service.admission.TokenBucket` rate limiter,
-:class:`~repro.service.admission.AdmissionStats` accounting, per-tier
-hedging driven by the shared
-:class:`~repro.service.server.LatencyTracker`, shedding onto the
-always-available tier — but with coroutine-shaped control flow:
+:class:`AsyncQueryServer` is a thin asyncio layer over the thread front,
+:class:`~repro.service.server.QueryServer`. It shares that front's
+construction and validation, the token bucket, the admission rules, the
+:class:`~repro.service.server.Bulkhead`, the latency tracker, the
+counters, :meth:`~AsyncQueryServer.stats` and the shed answer, and it adds
+exactly two things:
 
-* **await-based admission** — a bounded in-flight pool guarded by an
-  ``asyncio.Semaphore``; a query that cannot get a slot within its
-  bounded wait (or its own deadline) is shed, never queued unboundedly.
-* **await-based bulkheads** — one ``asyncio.Semaphore`` per tier caps
-  concurrent entries; a saturated bulkhead makes the ladder degrade past
-  the tier rather than block the loop.
-* **hedged tier attempts** — tier ``i+1`` fires when tier ``i`` has run
-  for its observed latency percentile (floored at ``hedge_after``); the
-  first contract-valid answer wins and the losers are cancelled through
-  their :class:`~repro.service.deadline.CancellableDeadline`.
+* **an awaited admission wait** — the
+  :class:`~repro.service.admission.AdmissionController` decides every
+  arrival without waiting; when it says "wait until ``t``", the query
+  awaits a slot release (or ``t``) on the loop instead of blocking a
+  thread, so many queued queries cost no threads.
+* **one thread hop per query** — an admitted query runs the thread
+  front's synchronous serve (the ladder's walk, hedged when
+  ``hedge_after`` is set) in ``asyncio.to_thread``; a shed one runs the
+  shared shed answer there. Answers therefore get the ladder's retries,
+  engine deltas, degraded-shard provenance and hot-rung feedback.
 
-Tier searches themselves are synchronous index walks, so each attempt
-runs in the default thread executor (``asyncio.to_thread``); the loop
-only ever awaits. This is the natural front for the
+This is the natural front for the
 :class:`~repro.parallel.executor.ProcessShardedEstimator`: the event loop
-multiplexes many in-flight queries while the actual searching happens in
-worker processes.
+multiplexes many in-flight queries while the searching happens in worker
+processes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import List, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Set, Union
 
-from ..errors import (
-    AllTiersFailedError,
-    DeadlineExceededError,
-    InvalidParameterError,
-    PatternError,
-    ServerClosedError,
-)
-from ..service.admission import AdmissionStats, TokenBucket
-from ..service.deadline import CancellableDeadline, Deadline
+from ..service.deadline import Deadline
 from ..service.outcome import QueryOutcome, ShedOutcome
 from ..service.resilient import ResilientEstimator
-from ..service.server import LatencyTracker, ServerStats, upgrade_shed_answer
-from ..service.tiers import Tier, TierDeclined
-
-
-class AsyncBulkhead:
-    """Per-tier concurrency caps as asyncio semaphores (non-blocking)."""
-
-    def __init__(
-        self,
-        limits: Optional[Mapping[str, int]] = None,
-        *,
-        default_limit: Optional[int] = None,
-    ):
-        limits = dict(limits or {})
-        for name, limit in limits.items():
-            if limit < 1:
-                raise InvalidParameterError(
-                    f"bulkhead limit for {name!r} must be >= 1, got {limit}"
-                )
-        if default_limit is not None and default_limit < 1:
-            raise InvalidParameterError(
-                f"default_limit must be >= 1 or None, got {default_limit}"
-            )
-        self._limits = limits
-        self._default_limit = default_limit
-        self._semaphores: dict = {}
-        self.saturation: dict = {}
-
-    def _semaphore(self, name: str) -> Optional[asyncio.Semaphore]:
-        if name in self._semaphores:
-            return self._semaphores[name]
-        limit = self._limits.get(name, self._default_limit)
-        if limit is None:
-            return None
-        semaphore = asyncio.Semaphore(limit)
-        self._semaphores[name] = semaphore
-        return semaphore
-
-    async def acquire(self, tier: Tier, wait: float = 0.0) -> bool:
-        """Await a slot for at most ``wait`` seconds; count saturations.
-
-        With ``wait = 0`` this never suspends: a free semaphore's
-        ``acquire()`` completes synchronously, and a locked one is
-        reported as saturated immediately — the ladder degrades past the
-        tier instead of piling tasks up behind it.
-        """
-        semaphore = self._semaphore(tier.name)
-        if semaphore is None:
-            return True
-        if not semaphore.locked():
-            await semaphore.acquire()
-            return True
-        if wait > 0:
-            try:
-                await asyncio.wait_for(semaphore.acquire(), wait)
-                return True
-            except asyncio.TimeoutError:
-                pass
-        self.saturation[tier.name] = self.saturation.get(tier.name, 0) + 1
-        return False
-
-    def release(self, tier: Tier) -> None:
-        semaphore = self._semaphore(tier.name)
-        if semaphore is not None:
-            semaphore.release()
+from ..service.server import QueryServer, ServerStats
 
 
 class AsyncQueryServer:
     """Coroutine-native serving front over a degradation ladder.
 
-    Mirrors the :class:`~repro.service.server.QueryServer` contract:
+    Takes the :class:`~repro.service.server.QueryServer` parameters
+    except ``watchdog`` and ``clock``, and keeps its contract:
     :meth:`query` returns a :class:`~repro.service.outcome.QueryOutcome`
     when the ladder ran, or a :class:`~repro.service.outcome.ShedOutcome`
     when admission answered from the always-available tier instead.
-    ``query`` may be awaited from any number of tasks concurrently.
+    ``query`` may be awaited from any number of tasks of one event loop.
     """
 
     def __init__(
@@ -131,92 +57,54 @@ class AsyncQueryServer:
         rate: Optional[float] = None,
         burst: Optional[float] = None,
         bulkhead_limits: Optional[Mapping[str, int]] = None,
-        bulkhead_default: Optional[int] = None,
         bulkhead_wait: float = 0.0,
         hedge_after: Optional[float] = None,
-        hedge_percentile: float = 95.0,
     ):
-        if max_concurrent < 1:
-            raise InvalidParameterError(
-                f"max_concurrent must be >= 1, got {max_concurrent}"
-            )
-        if max_waiting < 0:
-            raise InvalidParameterError(
-                f"max_waiting must be >= 0, got {max_waiting}"
-            )
-        if max_wait < 0:
-            raise InvalidParameterError(f"max_wait must be >= 0, got {max_wait}")
-        if hedge_after is not None and hedge_after <= 0:
-            raise InvalidParameterError(
-                f"hedge_after must be > 0 or None, got {hedge_after}"
-            )
-        self._service = service
-        self._shed_tiers = [
-            tier for tier in service.tiers if tier.always_available
-        ]
-        if not self._shed_tiers:
-            raise InvalidParameterError(
-                "AsyncQueryServer needs a ladder with an always-available "
-                "tier to shed load onto"
-            )
-        self._hot_rungs = [
-            tier for tier in service.tiers if hasattr(tier, "shed_lookup")
-        ]
-        self._bucket = (
-            TokenBucket(rate, burst if burst is not None else max(1.0, rate))
-            if rate is not None
-            else None
+        self._server = QueryServer(
+            service,
+            max_concurrent=max_concurrent,
+            max_waiting=max_waiting,
+            max_wait=max_wait,
+            rate=rate,
+            burst=burst,
+            bulkhead_limits=bulkhead_limits,
+            bulkhead_wait=bulkhead_wait,
+            hedge_after=hedge_after,
         )
-        self._max_concurrent = max_concurrent
-        self._max_waiting = max_waiting
-        self._max_wait = max_wait
-        self._inflight_sem = asyncio.Semaphore(max_concurrent)
-        self._inflight = 0
-        self._waiting = 0
-        if bulkhead_wait < 0:
-            raise InvalidParameterError(
-                f"bulkhead_wait must be >= 0, got {bulkhead_wait}"
-            )
-        self._bulkhead = AsyncBulkhead(
-            bulkhead_limits, default_limit=bulkhead_default
-        )
-        self._bulkhead_wait = bulkhead_wait
-        self._hedge_after = hedge_after
-        self._hedge_percentile = hedge_percentile
-        self._latency = LatencyTracker()
-        self._admission_stats = AdmissionStats()
-        self._served = 0
-        self._shed = 0
-        self._hedges_fired = 0
-        self._hedge_wins = 0
-        self._draining = False
-        self._closed = False
-        self._idle = asyncio.Event()
-        self._idle.set()
+        self._admission = self._server._admission
+        self._bulkhead = self._server._bulkhead
+        # Queries awaiting a slot release (or a drain's idle check).
+        self._waiters: Set[asyncio.Future] = set()
 
     # -- lifecycle ------------------------------------------------------------
 
     @property
     def service(self) -> ResilientEstimator:
-        return self._service
+        return self._server.service
+
+    @property
+    def _inflight(self) -> int:
+        """Queries admitted and not yet released."""
+        return self._admission.inflight
 
     async def drain(self, timeout: Optional[float] = 5.0) -> bool:
         """Shed new arrivals; wait for in-flight queries to finish."""
-        self._draining = True
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
+        self._admission.set_draining(True)
+        self._wake()
+        until = None if timeout is None else time.monotonic() + timeout
+        while self._admission.inflight:
+            if until is not None and time.monotonic() >= until:
+                return False
+            await self._next_release(until)
+        return True
 
     async def close(self, *, drain: bool = True,
                     timeout: Optional[float] = 5.0) -> None:
         """Drain (optionally) and refuse further queries."""
         if drain:
             await self.drain(timeout)
-        else:
-            self._draining = True
-        self._closed = True
+        self._server.close(drain=False)
+        self._wake()
 
     async def __aenter__(self) -> "AsyncQueryServer":
         return self
@@ -224,65 +112,9 @@ class AsyncQueryServer:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
-    # -- statistics -----------------------------------------------------------
-
     def stats(self) -> ServerStats:
         """Snapshot, in the same shape the thread server reports."""
-        return ServerStats(
-            admission=self._admission_stats.copy(),
-            inflight=self._inflight,
-            bulkhead_saturation=dict(self._bulkhead.saturation),
-            hedges_fired=self._hedges_fired,
-            hedge_wins=self._hedge_wins,
-            served=self._served,
-            shed=self._shed,
-            watchdog_rounds=0,
-            watchdog_events=0,
-        )
-
-    # -- admission ------------------------------------------------------------
-
-    async def _admit(self, budget: Deadline) -> Optional[str]:
-        """``None`` on admission (pair with :meth:`_release`), else the
-        shed reason — the same reasons the sync controller reports."""
-        if self._draining:
-            self._admission_stats.drained += 1
-            return "draining"
-        if self._bucket is not None and not self._bucket.try_acquire():
-            self._admission_stats.rate_limited += 1
-            return "rate limited"
-        if self._inflight_sem.locked():
-            if self._waiting >= self._max_waiting:
-                self._admission_stats.queue_full += 1
-                return "admission queue full"
-            wait = min(self._max_wait, budget.remaining())
-            if wait <= 0:
-                self._admission_stats.queue_full += 1
-                return "admission queue full"
-            self._waiting += 1
-            try:
-                await asyncio.wait_for(self._inflight_sem.acquire(), wait)
-            except asyncio.TimeoutError:
-                self._admission_stats.queue_timeout += 1
-                return "admission queue timeout"
-            finally:
-                self._waiting -= 1
-        else:
-            await self._inflight_sem.acquire()
-        if self._draining:
-            self._inflight_sem.release()
-            self._admission_stats.drained += 1
-            return "draining"
-        self._inflight += 1
-        self._idle.clear()
-        self._admission_stats.admitted += 1
-        return None
-
-    def _release(self) -> None:
-        self._inflight -= 1
-        self._inflight_sem.release()
-        if self._inflight == 0:
-            self._idle.set()
+        return self._server.stats()
 
     # -- serving --------------------------------------------------------------
 
@@ -292,27 +124,28 @@ class AsyncQueryServer:
         *,
         deadline: Union[Deadline, float, None] = None,
     ) -> Union[QueryOutcome, ShedOutcome]:
-        """Serve one pattern; never blocks the loop past bounded awaits."""
-        if self._closed:
-            raise ServerClosedError("AsyncQueryServer is closed")
-        if not isinstance(pattern, str) or not pattern:
-            raise PatternError("pattern must be a non-empty string")
-        started = time.monotonic()
-        if isinstance(deadline, Deadline):
-            budget = deadline
-        elif deadline is not None:
-            budget = Deadline(deadline)
-        else:
-            budget = Deadline(self._service._deadline_seconds)
-        reason = await self._admit(budget)
-        if reason is not None:
-            return await self._shed_answer(pattern, reason, started)
+        """Serve one pattern; the loop only ever awaits."""
+        server = self._server
+        budget, started = server._begin(pattern, deadline)
+        decision = self._admission.arrive(budget)
         try:
-            outcome = await self._query_hedged(pattern, budget, started)
-            self._served += 1
-            return outcome
+            while isinstance(decision, float):
+                await self._next_release(decision)
+                decision = self._admission.settle(decision)
         finally:
-            self._release()
+            if isinstance(decision, float):  # cancelled while waiting
+                self._admission.withdraw()
+        if decision is not None:
+            return await asyncio.to_thread(
+                server._shed_answer, pattern, decision, started
+            )
+        try:
+            return await asyncio.to_thread(
+                server._serve, pattern, budget, started
+            )
+        finally:
+            self._admission.release()
+            self._wake()
 
     async def query_many(
         self, patterns: List[str]
@@ -322,179 +155,21 @@ class AsyncQueryServer:
             await asyncio.gather(*(self.query(p) for p in patterns))
         )
 
-    async def _shed_answer(
-        self, pattern: str, reason: str, started: float
-    ) -> ShedOutcome:
-        tier = self._shed_tiers[0]
-        count, model, threshold, _reliable = await asyncio.to_thread(
-            tier.answer, pattern, None
-        )
-        name = tier.name
-        upgraded = False
-        if self._hot_rungs:
-            count, model, threshold, name, upgraded = await asyncio.to_thread(
-                upgrade_shed_answer,
-                self._hot_rungs, pattern, count, model, threshold, name,
-            )
-        self._shed += 1
-        return ShedOutcome(
-            pattern=pattern,
-            count=count,
-            tier=name,
-            error_model=model,
-            threshold=threshold,
-            reason=reason,
-            elapsed=time.monotonic() - started,
-            upgraded=upgraded,
-        )
-
-    # -- hedged ladder walk ---------------------------------------------------
-
-    def _hedge_delay(self, tier: Tier) -> Optional[float]:
-        if self._hedge_after is None:
-            return None
-        observed = self._latency.percentile(tier.name, self._hedge_percentile)
-        if observed is None:
-            return self._hedge_after
-        return max(self._hedge_after, observed)
-
-    async def _attempt(
-        self, tier: Tier, index: int, pattern: str,
-        cancel: CancellableDeadline,
-    ) -> tuple:
-        """One tier attempt on the thread executor; returns a tagged tuple."""
-        attempt_started = time.monotonic()
-        guarded = not tier.always_available
-        if guarded and not await self._bulkhead.acquire(
-            tier, self._bulkhead_wait
-        ):
-            return ("skip", index, "skipped: bulkhead saturated", 0.0)
+    async def _next_release(self, until: Optional[float]) -> None:
+        """Sleep until the next slot release, drain or ``time.monotonic()``
+        instant ``until``."""
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.add(waiter)
         try:
-            effective = None if tier.always_available else cancel
-            payload = await asyncio.to_thread(tier.answer, pattern, effective)
-        except TierDeclined:
-            tier.breaker.record_success()
-            return ("declined", index, "declined: cannot certify",
-                    time.monotonic() - attempt_started)
-        except DeadlineExceededError as exc:
-            if cancel.cancelled:
-                return ("cancelled", index, str(exc), 0.0)
-            tier.breaker.record_failure()
-            return ("deadline", index, str(exc),
-                    time.monotonic() - attempt_started)
-        except Exception as exc:  # noqa: BLE001 - attempt boundary
-            tier.breaker.record_failure()
-            return ("fail", index, f"{type(exc).__name__}: {exc}",
-                    time.monotonic() - attempt_started)
-        else:
-            elapsed = time.monotonic() - attempt_started
-            tier.breaker.record_success()
-            self._latency.record(tier.name, elapsed)
-            return ("ok", index, payload, elapsed)
+            timeout = None if until is None else max(0.0, until - time.monotonic())
+            await asyncio.wait_for(waiter, timeout)
+        except asyncio.TimeoutError:
+            pass
         finally:
-            if guarded:
-                self._bulkhead.release(tier)
+            self._waiters.discard(waiter)
 
-    async def _query_hedged(
-        self, pattern: str, budget: Deadline, started: float
-    ) -> QueryOutcome:
-        """Ladder walk with speculative next-tier launches.
-
-        Without hedging (``hedge_after=None``) tiers run strictly in
-        sequence (launch the next only after the current one fails or
-        declines) — the classic ladder, just awaitable. With hedging, a
-        slow tier's successor fires after the observed latency percentile.
-        """
-        tiers = self._service.tiers
-        cancels: List[CancellableDeadline] = []
-        failures: List[tuple] = []
-        tasks: dict = {}
-        launched = 0
-        next_index = 0
-
-        def try_launch() -> bool:
-            nonlocal launched, next_index
-            while next_index < len(tiers):
-                index = next_index
-                next_index += 1
-                tier = tiers[index]
-                if tier.quarantined:
-                    failures.append((
-                        tier.name,
-                        f"skipped: quarantined ({tier.quarantine_reason})",
-                    ))
-                    continue
-                if not tier.breaker.allow():
-                    failures.append((
-                        tier.name,
-                        f"skipped: circuit {tier.breaker.state.value}",
-                    ))
-                    continue
-                cancel = CancellableDeadline.from_deadline(budget)
-                cancels.append(cancel)
-                task = asyncio.ensure_future(
-                    self._attempt(tier, index, pattern, cancel)
-                )
-                tasks[task] = index
-                launched += 1
-                return True
-            return False
-
-        try_launch()
-        winner = None
-        try:
-            while tasks or next_index < len(tiers):
-                if not tasks:
-                    if not try_launch():
-                        break
-                    continue
-                timeout = None
-                if next_index < len(tiers):
-                    timeout = self._hedge_delay(tiers[next_index - 1])
-                done, _ = await asyncio.wait(
-                    set(tasks), timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Hedge timer fired: current tier is slow, launch next.
-                    if try_launch():
-                        self._hedges_fired += 1
-                    continue
-                for task in done:
-                    tasks.pop(task)
-                    kind, index, payload, elapsed = task.result()
-                    if kind == "ok" and winner is None:
-                        winner = (index, payload)
-                    elif kind != "cancelled":
-                        failures.append((tiers[index].name, str(payload)))
-                if winner is not None:
-                    break
-                if not tasks:
-                    try_launch()
-        finally:
-            for cancel in cancels:
-                cancel.cancel()
-            for task in tasks:
-                # Let losers finish on the executor; their next deadline
-                # check aborts. Don't cancel the asyncio task mid-thread.
-                task.add_done_callback(lambda t: t.exception())
-        if winner is None:
-            raise AllTiersFailedError(pattern, failures)
-        index, payload = winner
-        count, model, threshold, reliable = payload
-        if index > 0:
-            self._hedge_wins += 1
-        return QueryOutcome(
-            pattern=pattern,
-            count=count,
-            tier=tiers[index].name,
-            tier_index=index,
-            error_model=model,
-            threshold=threshold,
-            reliable=reliable,
-            elapsed=time.monotonic() - started,
-            attempts=launched,
-            failures=tuple(failures),
-            engine=None,
-            hedged=launched > 1,
-        )
+    def _wake(self) -> None:
+        for waiter in self._waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self._waiters.clear()

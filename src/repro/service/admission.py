@@ -19,10 +19,15 @@ Two mechanisms gate entry, both thread-safe and clock-injectable:
   or the query's own remaining deadline, whichever is smaller); everything
   else is shed immediately with reason ``"admission queue full"``.
 
-The controller never answers queries itself — it returns a shed *reason*
-(or ``None`` for admitted), and :class:`~repro.service.server.QueryServer`
-turns the reason into a :class:`~repro.service.outcome.ShedOutcome` served
-by the statistics tier.
+The controller decides once for both serving fronts and never waits on
+its own account: :meth:`AdmissionController.arrive` and
+:meth:`AdmissionController.settle` apply the drain, rate, capacity and
+wait-room rules and the wait budget, and the front supplies the wait — a
+:class:`threading.Condition` in :meth:`AdmissionController.admit`, an
+awaited future in the asyncio front. It never answers queries itself: it
+returns a shed *reason* (or ``None`` for admitted), and the front turns
+the reason into a :class:`~repro.service.outcome.ShedOutcome` served by
+the statistics tier.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import InvalidParameterError
 from .deadline import Clock, Deadline
@@ -104,7 +109,15 @@ class AdmissionStats:
 
 
 class AdmissionController:
-    """Bounded in-flight pool with a bounded, deadline-aware wait queue."""
+    """Bounded in-flight pool with a bounded, deadline-aware wait queue.
+
+    The rules live in :meth:`arrive` and :meth:`settle`, which decide
+    without waiting: a drain or rate-limit shed, a free slot, no wait
+    room, or how long a query may wait. :meth:`admit` supplies the wait
+    over a :class:`threading.Condition`; the asyncio front supplies its
+    own over the same two calls (see
+    :class:`~repro.parallel.asyncserver.AsyncQueryServer`).
+    """
 
     def __init__(
         self,
@@ -151,56 +164,93 @@ class AdmissionController:
             self._draining = draining
             self._cond.notify_all()
 
+    def arrive(self, deadline: Optional[Deadline] = None
+               ) -> Union[None, str, float]:
+        """Decide one arrival without waiting.
+
+        ``None`` admits it (pair with :meth:`release`); a string is the
+        shed reason. A float is the ``time.monotonic()`` instant the
+        query may wait until, at most ``max_wait`` and never past its
+        own deadline: the caller waits for a :meth:`release` or that
+        instant, then asks :meth:`settle`.
+        """
+        with self._cond:
+            # Rate first, then drain; a draining front names the drain
+            # whichever check refused the arrival.
+            if self._bucket is not None and not self._bucket.try_acquire():
+                if self._draining:
+                    return self._shed("drained", "draining")
+                return self._shed("rate_limited", "rate limited")
+            if self._draining:
+                return self._shed("drained", "draining")
+            if self._inflight < self._max_concurrent:
+                self._inflight += 1
+                self._stats.admitted += 1
+                return None
+            if self._waiting >= self._max_waiting:
+                return self._shed("queue_full", "admission queue full")
+            budget = self._max_wait
+            if deadline is not None:
+                budget = min(budget, deadline.remaining())
+            if budget <= 0:
+                return self._shed("queue_full", "admission queue full")
+            self._waiting += 1
+            return time.monotonic() + budget
+
+    def settle(self, until: float) -> Union[None, str, float]:
+        """Decide a waiting query again (the result :meth:`arrive` names).
+
+        A free slot admits it; past ``until`` it is shed as timed out; a
+        drain sheds it; otherwise it keeps waiting until ``until``.
+        """
+        with self._cond:
+            if self._inflight < self._max_concurrent:
+                self._waiting -= 1
+                self._inflight += 1
+                self._stats.admitted += 1
+                return None
+            if time.monotonic() >= until:
+                self._waiting -= 1
+                return self._shed("queue_timeout", "admission queue timeout")
+            if self._draining:
+                self._waiting -= 1
+                return self._shed("drained", "draining")
+            return until
+
+    def withdraw(self) -> None:
+        """A waiter gives up before :meth:`settle` decided it."""
+        with self._cond:
+            self._waiting -= 1
+
+    def _shed(self, counter: str, reason: str) -> str:
+        setattr(self._stats, counter, getattr(self._stats, counter) + 1)
+        return reason
+
     def admit(self, deadline: Optional[Deadline] = None) -> Optional[str]:
-        """Try to admit one query.
+        """Try to admit one query, waiting on the condition if allowed.
 
         Returns ``None`` on admission (the caller *must* pair it with
         :meth:`release`), or the shed reason. Waiting is bounded by
         ``max_wait`` and by the query's remaining deadline — a query is
         shed rather than queued past the point it could still be served.
         """
-        if self._bucket is not None and not self._bucket.try_acquire():
-            with self._cond:
-                if self._draining:
-                    self._stats.drained += 1
-                    return "draining"
-                self._stats.rate_limited += 1
-            return "rate limited"
+        decision = self.arrive(deadline)
+        if not isinstance(decision, float):
+            return decision
+        # Settle before each wait, under the lock the wait releases, so a
+        # slot freed since arrive() is never missed.
         with self._cond:
-            if self._draining:
-                self._stats.drained += 1
-                return "draining"
-            if self._inflight < self._max_concurrent:
-                self._inflight += 1
-                self._stats.admitted += 1
-                return None
-            if self._waiting >= self._max_waiting:
-                self._stats.queue_full += 1
-                return "admission queue full"
-            budget = self._max_wait
-            if deadline is not None:
-                budget = min(budget, deadline.remaining())
-            if budget <= 0:
-                self._stats.queue_full += 1
-                return "admission queue full"
-            self._waiting += 1
             try:
-                end = time.monotonic() + budget
-                while self._inflight >= self._max_concurrent:
-                    if self._draining:
-                        self._stats.drained += 1
-                        return "draining"
-                    left = end - time.monotonic()
-                    if left <= 0 or not self._cond.wait(timeout=left):
-                        if self._inflight < self._max_concurrent:
-                            break
-                        self._stats.queue_timeout += 1
-                        return "admission queue timeout"
+                while True:
+                    decision = self.settle(decision)
+                    if not isinstance(decision, float):
+                        return decision
+                    left = decision - time.monotonic()
+                    if left > 0:
+                        self._cond.wait(timeout=left)
             finally:
-                self._waiting -= 1
-            self._inflight += 1
-            self._stats.admitted += 1
-            return None
+                if isinstance(decision, float):  # interrupted while waiting
+                    self.withdraw()
 
     def release(self) -> None:
         """Return one admitted query's slot to the pool."""

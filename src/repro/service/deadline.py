@@ -55,6 +55,9 @@ class Deadline:
 
     __slots__ = ("_clock", "_expires_at", "seconds")
 
+    #: Only a :class:`CancellableDeadline` can be revoked.
+    cancelled = False
+
     def __init__(self, seconds: Optional[float], clock: Clock = time.monotonic):
         if seconds is not None and seconds < 0:
             raise InvalidParameterError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
-from ..core.interface import OccurrenceEstimator
+from ..core.interface import ErrorModel, OccurrenceEstimator
 from ..engine import EngineStats
 from ..errors import (
     AllTiersFailedError,
@@ -40,6 +40,21 @@ from .tiers import Tier, TierDeclined
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..build import BuildContext
+
+#: How one tier attempt ended (see :meth:`ResilientEstimator.attempt`).
+ANSWERED = "answered"
+DECLINED = "declined"
+DEADLINE = "deadline"
+CANCELLED = "cancelled"
+FAILED = "failed"
+SATURATED = "saturated"
+
+
+def failure_reason(kind: str, value: object) -> str:
+    """The ``failures`` entry for an attempt that did not answer."""
+    if kind is FAILED:
+        return f"{type(value).__name__}: {value}"
+    return value
 
 
 class TierGuard:
@@ -144,113 +159,176 @@ class ResilientEstimator:
         engine_total = EngineStats()
 
         for index, tier in enumerate(self._tiers):
-            if tier.quarantined:
-                failures.append(
-                    (tier.name, f"skipped: quarantined ({tier.quarantine_reason})")
-                )
+            skip = self.skip_reason(tier, budget, out_of_time)
+            if skip is not None:
+                failures.append((tier.name, skip))
                 continue
-            if (out_of_time or budget.expired()) and not tier.always_available:
-                failures.append((tier.name, "skipped: deadline exceeded"))
-                continue
-            if not tier.breaker.allow():
-                failures.append(
-                    (tier.name, f"skipped: circuit {tier.breaker.state.value}")
-                )
-                continue
-            guarded = tier_guard is not None and not tier.always_available
-            if guarded and not tier_guard.acquire(tier):
-                failures.append((tier.name, "skipped: bulkhead saturated"))
-                continue
-            try:
-                attempt = 0
-                while True:
-                    attempt += 1
-                    attempts += 1
-                    before = tier.engine_stats.copy()
-                    try:
-                        effective = None if tier.always_available else budget
-                        count, model, threshold, reliable = tier.answer(
-                            pattern, effective
-                        )
-                    except TierDeclined:
-                        engine_total.merge(tier.engine_stats - before)
-                        # A certified-only tier saying "I don't know" is
-                        # healthy.
-                        tier.breaker.record_success()
-                        failures.append((tier.name, "declined: cannot certify"))
-                        break
-                    except DeadlineExceededError as exc:
-                        engine_total.merge(tier.engine_stats - before)
-                        tier.breaker.record_failure()
-                        failures.append((tier.name, str(exc)))
-                        out_of_time = True
-                        break
-                    except Exception as exc:  # noqa: BLE001 - ladder boundary
-                        engine_total.merge(tier.engine_stats - before)
-                        tier.breaker.record_failure()
-                        failures.append(
-                            (tier.name, f"{type(exc).__name__}: {exc}")
-                        )
-                        if not self._retry.should_retry(attempt, exc):
-                            break
-                        # Backoff is capped at the remaining budget so a
-                        # sleep can never overshoot the deadline; a spent
-                        # budget means stop retrying, not sleep-then-fail.
-                        backoff = self._retry.delay(attempt, deadline=budget)
-                        if budget.remaining() <= 0.0:
-                            failures.append(
-                                (tier.name, "retry abandoned: deadline exhausted")
-                            )
-                            break
-                        if backoff > 0:
-                            self._sleep(backoff)
-                    else:
-                        engine_total.merge(tier.engine_stats - before)
-                        tier.breaker.record_success()
-                        # Sharded tiers keep serving through quarantined
-                        # shards; surface which shards degraded and the
-                        # widened-but-sound interval the merge still
-                        # guarantees for this answer.
-                        shards_degraded = tuple(
-                            getattr(tier.estimator, "degraded_shards", ())
-                        )
-                        # Live tiers: how much of the corpus is still in
-                        # the mutable delta shard (0 for static tiers).
-                        try:
-                            delta_pending = int(
-                                getattr(tier.estimator, "delta_pending", 0)
-                            )
-                        except (TypeError, ValueError):
-                            delta_pending = 0
-                        interval: Optional[Tuple[int, int]] = None
-                        if shards_degraded or delta_pending:
-                            try:
-                                lo, hi = tier.estimator.count_interval(pattern)
-                                interval = (int(lo), int(hi))
-                            except Exception:  # noqa: BLE001 - telemetry only
-                                interval = None
-                        outcome = QueryOutcome(
-                            pattern=pattern,
-                            count=count,
-                            tier=tier.name,
-                            tier_index=index,
-                            error_model=model,
-                            threshold=threshold,
-                            reliable=reliable,
-                            elapsed=self._clock() - started,
-                            attempts=attempts,
-                            failures=tuple(failures),
-                            engine=engine_total,
-                            shards_degraded=shards_degraded,
-                            count_interval=interval,
-                            delta_pending=delta_pending,
-                        )
-                        self._notify(pattern, outcome)
-                        return outcome
-            finally:
-                if guarded:
-                    tier_guard.release(tier)
+            attempt = 0
+            while True:
+                kind, value, work = self.attempt(tier, pattern, budget, tier_guard)
+                if kind is SATURATED:
+                    failures.append((tier.name, value))
+                    break
+                attempt += 1
+                attempts += 1
+                engine_total.merge(work)
+                if kind is ANSWERED:
+                    return self.outcome(
+                        pattern, index, value,
+                        elapsed=self._clock() - started,
+                        attempts=attempts,
+                        failures=failures,
+                        engine=engine_total,
+                    )
+                failures.append((tier.name, failure_reason(kind, value)))
+                if kind is DECLINED:
+                    break
+                if kind is not FAILED:  # the budget is spent
+                    out_of_time = True
+                    break
+                if not self._retry.should_retry(attempt, value):
+                    break
+                # Backoff is capped at the remaining budget so a sleep can
+                # never overshoot the deadline; a spent budget means stop
+                # retrying, not sleep-then-fail.
+                backoff = self._retry.delay(attempt, deadline=budget)
+                if budget.remaining() <= 0.0:
+                    failures.append(
+                        (tier.name, "retry abandoned: deadline exhausted")
+                    )
+                    break
+                if backoff > 0:
+                    self._sleep(backoff)
         raise AllTiersFailedError(pattern, failures)
+
+    # -- the walk's steps, shared with the hedged serving front -------------
+
+    @staticmethod
+    def skip_reason(
+        tier: Tier, budget: Deadline, out_of_time: bool
+    ) -> Optional[str]:
+        """Why ``tier`` is passed over for this query, or None to try it.
+
+        A quarantined tier is always skipped; a spent deadline (or an
+        earlier tier's deadline failure) skips every tier but the
+        always-available one; an open circuit skips the tier without
+        paying its latency. ``breaker.allow()`` runs last because a
+        half-open breaker hands out a trial permit when it says yes.
+        """
+        if tier.quarantined:
+            return f"skipped: quarantined ({tier.quarantine_reason})"
+        if (out_of_time or budget.expired()) and not tier.always_available:
+            return "skipped: deadline exceeded"
+        if not tier.breaker.allow():
+            return f"skipped: circuit {tier.breaker.state.value}"
+        return None
+
+    @staticmethod
+    def attempt(
+        tier: Tier,
+        pattern: str,
+        deadline: Deadline,
+        guard: Optional["TierGuard"] = None,
+    ) -> Tuple[str, object, Optional[EngineStats]]:
+        """Call ``tier`` once: ``(kind, value, engine delta)``.
+
+        Takes ``guard`` first (the always-available tier is never
+        guarded); a refusal returns :data:`SATURATED` and touches
+        nothing else. Otherwise ``kind`` sorts the call into
+        :data:`ANSWERED` (``value`` is ``(count, model, threshold,
+        reliable)``), :data:`DECLINED`, :data:`DEADLINE` or
+        :data:`CANCELLED` (``value`` is the failure reason) or
+        :data:`FAILED` (``value`` is the exception), and the breaker
+        records the outcome — except a cancellation, which says nothing
+        about the tier's health.
+        """
+        guarded = guard is not None and not tier.always_available
+        if guarded and not guard.acquire(tier):
+            return SATURATED, "skipped: bulkhead saturated", None
+        before = tier.engine_stats.copy()
+        try:
+            value: object = tier.answer(
+                pattern, None if tier.always_available else deadline
+            )
+        except TierDeclined:
+            # A certified-only tier saying "I don't know" is healthy.
+            tier.breaker.record_success()
+            kind, value = DECLINED, "declined: cannot certify"
+        except DeadlineExceededError as exc:
+            if deadline.cancelled:
+                kind = CANCELLED
+            else:
+                tier.breaker.record_failure()
+                kind = DEADLINE
+            value = str(exc)
+        except Exception as exc:  # noqa: BLE001 - ladder boundary
+            tier.breaker.record_failure()
+            # Without its traceback the kept exception pins no frame, so
+            # it makes no reference cycle with this one.
+            kind, value = FAILED, exc.with_traceback(None)
+        else:
+            tier.breaker.record_success()
+            kind = ANSWERED
+        finally:
+            if guarded:
+                guard.release(tier)
+        return kind, value, tier.engine_stats - before
+
+    def outcome(
+        self,
+        pattern: str,
+        index: int,
+        answer: Tuple[int, ErrorModel, int, bool],
+        *,
+        elapsed: float,
+        attempts: int,
+        failures: List[tuple],
+        engine: Optional[EngineStats],
+        hedged: bool = False,
+    ) -> QueryOutcome:
+        """Turn tier ``index``'s answer into a served outcome.
+
+        Sharded tiers keep serving through quarantined shards, so the
+        outcome names the degraded shards; live tiers report how much of
+        the corpus still sits in the mutable delta shard. Either one
+        makes the scalar a merged upper end, so the sound interval the
+        merge still guarantees rides along. Every feedback-wanting tier
+        then hears the outcome (see :meth:`_notify`).
+        """
+        tier = self._tiers[index]
+        estimator = tier.estimator
+        count, model, threshold, reliable = answer
+        shards_degraded = tuple(getattr(estimator, "degraded_shards", ()))
+        try:
+            delta_pending = int(getattr(estimator, "delta_pending", 0))
+        except (TypeError, ValueError):
+            delta_pending = 0
+        interval: Optional[Tuple[int, int]] = None
+        if shards_degraded or delta_pending:
+            try:
+                lo, hi = estimator.count_interval(pattern)
+                interval = (int(lo), int(hi))
+            except Exception:  # noqa: BLE001 - telemetry only
+                interval = None
+        outcome = QueryOutcome(
+            pattern=pattern,
+            count=count,
+            tier=tier.name,
+            tier_index=index,
+            error_model=model,
+            threshold=threshold,
+            reliable=reliable,
+            elapsed=elapsed,
+            attempts=attempts,
+            failures=tuple(failures),
+            engine=engine,
+            hedged=hedged,
+            shards_degraded=shards_degraded,
+            count_interval=interval,
+            delta_pending=delta_pending,
+        )
+        self._notify(pattern, outcome)
+        return outcome
 
     def _notify(self, pattern: str, outcome: QueryOutcome) -> None:
         """Report a served outcome to every feedback-wanting tier.
@@ -262,7 +340,7 @@ class ResilientEstimator:
         that catches a tier whose feedback path corrupted it.
         """
         for tier in self._tiers:
-            if not getattr(tier, "wants_feedback", False):
+            if not tier.wants_feedback:
                 continue
             if tier.name == outcome.tier or tier.quarantined:
                 continue

@@ -10,7 +10,9 @@ how* the query runs at all:
   wait queue. A refused query is not dropped: it is **shed** to the
   ladder's always-available statistics tier and answered with a sound
   upper bound, reported as a :class:`~repro.service.outcome.ShedOutcome`
-  naming the reason. Accuracy degrades before availability does.
+  naming the reason. A tier that declares a shed hook
+  (:attr:`~repro.service.tiers.Tier.upgrades_shed`, the hot rung) may
+  tighten that answer. Accuracy degrades before availability does.
 * **bulkheads** — one semaphore per tier bounds how many threads may be
   inside each tier at once, so a stalled CPST cannot exhaust the workers
   APX or the q-gram table need. A saturated bulkhead makes the ladder
@@ -18,11 +20,14 @@ how* the query runs at all:
   block on it.
 * **hedged queries** — instead of waiting for the primary to *fail*, the
   server can fire the next tier after a latency percentile of the
-  current one (tracked per tier, with a configurable floor). First
-  contract-valid answer wins; losers are cancelled cooperatively through
-  :class:`~repro.service.deadline.CancellableDeadline` — their next
-  per-extension deadline check aborts the search. Hedging replaces the
-  retry policy: the next tier *is* the retry.
+  current one (tracked per tier, floored at ``hedge_after``). The hedged
+  walk is the ladder's own: the same skips, the same
+  :meth:`~repro.service.resilient.ResilientEstimator.attempt` and the
+  same :meth:`~repro.service.resilient.ResilientEstimator.outcome`, so a
+  hedged answer carries degraded-shard provenance and feeds the hot rung.
+  First answer wins; losers are cancelled cooperatively through
+  :class:`~repro.service.deadline.CancellableDeadline`. Hedging replaces
+  the retry policy: the next tier *is* the retry.
 * **corruption watchdog** — an optional
   :class:`~repro.service.watchdog.CorruptionWatchdog` runs low-rate
   differential probes in the background and quarantines/rebuilds tiers
@@ -31,6 +36,11 @@ how* the query runs at all:
   in-flight queries finish; :meth:`QueryServer.close` drains, stops the
   watchdog and the hedge workers, and makes further queries raise
   :class:`~repro.errors.ServerClosedError`.
+
+The asyncio front (:class:`~repro.parallel.asyncserver.AsyncQueryServer`)
+wraps this class: it awaits admission and runs
+:meth:`QueryServer._serve` or :meth:`QueryServer._shed_answer` in one
+thread hop per query.
 
 Thread-safety contract
 ----------------------
@@ -55,57 +65,19 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import (
     AllTiersFailedError,
-    DeadlineExceededError,
     InvalidParameterError,
     PatternError,
     ServerClosedError,
 )
-from ..core.interface import ErrorModel
 from .admission import AdmissionController, AdmissionStats, TokenBucket
 from .deadline import CancellableDeadline, Clock, Deadline
 from .outcome import QueryOutcome, ShedOutcome
-from .resilient import ResilientEstimator
-from .tiers import Tier, TierDeclined
+from .resilient import ANSWERED, DEADLINE, ResilientEstimator, failure_reason
+from .tiers import Tier
 from .watchdog import CorruptionWatchdog
 
-
-def upgrade_shed_answer(
-    hot_rungs: "List[Tier]",
-    pattern: str,
-    count: int,
-    model: "ErrorModel",
-    threshold: int,
-    tier_name: str,
-) -> "Tuple[int, ErrorModel, int, str, bool]":
-    """Tighten a shed answer with the first hot rung that can.
-
-    The hot tier's answer replaces the statistics bound only when it is
-    an exact cached count or a *strictly tighter* upper bound — the shed
-    interval is therefore never wider than the weakest-tier answer it
-    upgrades. Misses still warm the hot tier's frequency sketch, so
-    sustained overload traffic becomes servable from the sketch even
-    though the ladder never sees it.
-    """
-    for rung in hot_rungs:
-        try:
-            hit = rung.shed_lookup(pattern)
-        except Exception:  # noqa: BLE001 - shed path is best-effort
-            continue
-        if hit is None:
-            try:
-                rung.hot.note_warm(pattern)
-            except Exception:  # noqa: BLE001
-                pass
-            continue
-        hot_count, hot_model = hit
-        if hot_model is ErrorModel.EXACT:
-            rung.hot.note_shed_upgrade()
-            return int(hot_count), hot_model, 1, rung.name, True
-        if hot_count < count:
-            rung.hot.note_shed_upgrade()
-            return int(hot_count), ErrorModel.UPPER_BOUND, 1, rung.name, True
-        break
-    return count, model, threshold, tier_name, False
+#: A hedge fires once the running tier outlasts this latency percentile.
+HEDGE_PERCENTILE = 95.0
 
 
 class Bulkhead:
@@ -247,14 +219,15 @@ class QueryServer:
         queue (also capped by its own deadline).
     rate / burst:
         Token-bucket rate limit in queries/second (None disables).
-    bulkhead_limits / bulkhead_default / bulkhead_wait:
-        Per-tier concurrency caps (name → limit), the cap for unlisted
-        tiers (None = unbounded) and how long to wait for a slot before
-        degrading past the tier (0 = never block).
-    hedge_after / hedge_percentile:
+    bulkhead_limits / bulkhead_wait:
+        Per-tier concurrency caps (name → limit; unlisted tiers are
+        unbounded) and how long to wait for a slot before degrading past
+        the tier (0 = never block).
+    hedge_after:
         Enable hedged queries: fire the next tier once the current one has
-        been running for its ``hedge_percentile``-th latency percentile
-        (floored at ``hedge_after`` seconds). ``None`` disables hedging.
+        been running for its :data:`HEDGE_PERCENTILE`-th latency
+        percentile (floored at ``hedge_after`` seconds). ``None`` disables
+        hedging.
     watchdog:
         Optional :class:`CorruptionWatchdog`; started with the server's
         :meth:`start` and stopped by :meth:`close`.
@@ -270,27 +243,21 @@ class QueryServer:
         rate: Optional[float] = None,
         burst: Optional[float] = None,
         bulkhead_limits: Optional[Mapping[str, int]] = None,
-        bulkhead_default: Optional[int] = None,
         bulkhead_wait: float = 0.0,
         hedge_after: Optional[float] = None,
-        hedge_percentile: float = 95.0,
         watchdog: Optional[CorruptionWatchdog] = None,
         clock: Clock = time.monotonic,
     ):
         self._service = service
-        self._shed_tiers = [
-            (index, tier) for index, tier in enumerate(service.tiers)
-            if tier.always_available
-        ]
-        if not self._shed_tiers:
+        shed_tiers = [tier for tier in service.tiers if tier.always_available]
+        if not shed_tiers:
             raise InvalidParameterError(
-                "QueryServer needs a ladder with an always-available tier "
-                "to shed load onto"
+                "a serving front needs a ladder with an always-available "
+                "tier to shed load onto"
             )
-        # Hot-pattern rungs (duck-typed on shed_lookup) upgrade shed
-        # answers: exact cached counts or tighter sketch bounds.
-        self._hot_rungs = [
-            tier for tier in service.tiers if hasattr(tier, "shed_lookup")
+        self._shed_tier = shed_tiers[0]
+        self._shed_upgraders = [
+            tier for tier in service.tiers if tier.upgrades_shed
         ]
         bucket = None
         if rate is not None:
@@ -302,29 +269,26 @@ class QueryServer:
             max_wait=max_wait,
             bucket=bucket,
         )
-        self._bulkhead = Bulkhead(
-            bulkhead_limits or {},
-            default_limit=bulkhead_default,
-            wait=bulkhead_wait,
-        )
+        self._bulkhead = Bulkhead(bulkhead_limits or {}, wait=bulkhead_wait)
         if hedge_after is not None and hedge_after <= 0:
             raise InvalidParameterError(
                 f"hedge_after must be > 0 or None, got {hedge_after}"
             )
         self._hedge_after = hedge_after
-        self._hedge_percentile = hedge_percentile
+        # Hedged attempts run here; the pool starts its threads lazily.
+        self._pool = None if hedge_after is None else ThreadPoolExecutor(
+            max_workers=max(4, 2 * len(service.tiers)),
+            thread_name_prefix="repro-hedge",
+        )
         self._latency = LatencyTracker()
         self._watchdog = watchdog
         self._clock = clock
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._served = 0
         self._shed = 0
         self._hedges_fired = 0
         self._hedge_wins = 0
         self._closed = False
-        self._draining = False
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -346,7 +310,6 @@ class QueryServer:
 
     def drain(self, timeout: Optional[float] = 5.0) -> bool:
         """Shed new arrivals and wait for in-flight queries to finish."""
-        self._draining = True
         self._admission.set_draining(True)
         return self._admission.wait_idle(timeout)
 
@@ -359,10 +322,8 @@ class QueryServer:
             self._admission.set_draining(True)
         if self._watchdog is not None:
             self._watchdog.stop()
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-                self._executor = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
         self._closed = True
 
     def __enter__(self) -> "QueryServer":
@@ -409,30 +370,12 @@ class QueryServer:
         always-available tier instead. Raises
         :class:`~repro.errors.ServerClosedError` after :meth:`close`.
         """
-        if self._closed:
-            raise ServerClosedError("QueryServer is closed")
-        if not isinstance(pattern, str) or not pattern:
-            raise PatternError("pattern must be a non-empty string")
-        started = self._clock()
-        if isinstance(deadline, Deadline):
-            budget = deadline
-        else:
-            budget = Deadline(deadline, self._clock) if deadline is not None \
-                else Deadline(self._service._deadline_seconds, self._clock)
+        budget, started = self._begin(pattern, deadline)
         reason = self._admission.admit(budget)
         if reason is not None:
             return self._shed_answer(pattern, reason, started)
         try:
-            if self._hedge_after is not None:
-                outcome = self._query_hedged(pattern, budget, started)
-            else:
-                outcome = self._service.query(
-                    pattern, deadline=budget, tier_guard=self._bulkhead
-                )
-                self._latency.record(outcome.tier, outcome.elapsed)
-            with self._counter_lock:
-                self._served += 1
-            return outcome
+            return self._serve(pattern, budget, started)
         finally:
             self._admission.release()
 
@@ -442,23 +385,57 @@ class QueryServer:
         """Serve a batch sequentially (each under its own admission slot)."""
         return [self.query(pattern) for pattern in patterns]
 
+    def _begin(
+        self, pattern: str, deadline: Union[Deadline, float, None]
+    ) -> Tuple[Deadline, float]:
+        """Validate one arrival: its budget and its start instant."""
+        if self._closed:
+            raise ServerClosedError("the serving front is closed")
+        if not isinstance(pattern, str) or not pattern:
+            raise PatternError("pattern must be a non-empty string")
+        started = self._clock()
+        if isinstance(deadline, Deadline):
+            return deadline, started
+        if deadline is None:
+            deadline = self._service._deadline_seconds
+        return Deadline(deadline, self._clock), started
+
+    def _serve(
+        self, pattern: str, budget: Deadline, started: float
+    ) -> QueryOutcome:
+        """Run an admitted query down the ladder (hedged when enabled)."""
+        if self._pool is not None:
+            outcome = self._serve_hedged(pattern, budget, started)
+        else:
+            # Latency samples only feed the hedge timer, so none are kept.
+            outcome = self._service.query(
+                pattern, deadline=budget, tier_guard=self._bulkhead
+            )
+        with self._counter_lock:
+            self._served += 1
+        return outcome
+
     def _shed_answer(
         self, pattern: str, reason: str, started: float
     ) -> ShedOutcome:
         """Answer from the always-available tier without running the ladder.
 
-        A hot-pattern rung, when present and serving, upgrades the reply
-        (see :func:`upgrade_shed_answer`) — same availability, tighter
-        or exact answer.
+        Every tier that declares a shed hook (:attr:`Tier.upgrades_shed`)
+        may then replace the bound with a better answer; the first that
+        does wins — same availability, tighter or exact answer.
         """
-        _, tier = self._shed_tiers[0]
+        tier = self._shed_tier
         count, model, threshold, _reliable = tier.answer(pattern, None)
-        name = tier.name
-        upgraded = False
-        if self._hot_rungs:
-            count, model, threshold, name, upgraded = upgrade_shed_answer(
-                self._hot_rungs, pattern, count, model, threshold, name
-            )
+        name, upgraded = tier.name, False
+        for upgrader in self._shed_upgraders:
+            try:
+                better = upgrader.shed_upgrade(pattern, count)
+            except Exception:  # noqa: BLE001 - shed path is best-effort
+                continue
+            if better is not None:
+                (count, model), threshold = better, 1
+                name, upgraded = upgrader.name, True
+                break
         with self._counter_lock:
             self._shed += 1
         return ShedOutcome(
@@ -472,173 +449,100 @@ class QueryServer:
             upgraded=upgraded,
         )
 
-    # -- hedged execution -----------------------------------------------------
-
-    def _hedge_delay(self, tier: Tier) -> float:
-        """How long to let ``tier`` run before firing the next tier."""
-        assert self._hedge_after is not None
-        observed = self._latency.percentile(tier.name, self._hedge_percentile)
-        if observed is None:
-            return self._hedge_after
-        return max(self._hedge_after, observed)
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=max(4, 2 * len(self._service.tiers)),
-                    thread_name_prefix="repro-hedge",
-                )
-            return self._executor
-
-    def _query_hedged(
+    def _serve_hedged(
         self, pattern: str, budget: Deadline, started: float
     ) -> QueryOutcome:
-        """Ladder walk with speculative (hedged) tier attempts.
+        """The ladder's walk with speculative launches.
 
-        Tier ``i+1`` launches when tier ``i`` has been running for its
-        hedge delay *or* has definitively failed/declined. The first
-        successful answer wins; every other in-flight attempt is cancelled
-        through its :class:`CancellableDeadline`. Losers finishing after
-        the winner still record their breaker outcome (a genuine success
-        or failure is information regardless of the race) except when they
-        lost purely to cancellation.
+        Tier ``i+1`` launches when tier ``i`` has run for its hedge delay
+        (its latency percentile, floored at ``hedge_after``) *or* has
+        failed or declined. Each launch passes the ladder's skips and runs
+        one :meth:`ResilientEstimator.attempt` on the pool under its own
+        :class:`CancellableDeadline`. The first answer wins; the others
+        are cancelled, and a cancelled attempt records no breaker outcome.
+        Hedging replaces the retry policy: the next tier *is* the retry.
         """
-        tiers = self._service.tiers
-        executor = self._ensure_executor()
-        results: "queue.Queue[Tuple[str, int, object, float]]" = queue.Queue()
+        service = self._service
+        tiers = service.tiers
+        results: "queue.Queue[Tuple[int, str, object]]" = queue.Queue()
         cancels: List[CancellableDeadline] = []
         failures: List[Tuple[str, str]] = []
-        launched = 0
-        outstanding = 0
-        next_index = 0
+        out_of_time = False
+        launched = outstanding = next_index = 0
 
-        def try_launch() -> bool:
-            """Launch the next launchable tier; False when none remain."""
+        def launch() -> bool:
+            """Launch the next tier the skips let through."""
             nonlocal launched, outstanding, next_index
             while next_index < len(tiers):
-                index = next_index
+                tier = tiers[next_index]
                 next_index += 1
-                tier = tiers[index]
-                if tier.quarantined:
-                    failures.append((
-                        tier.name,
-                        f"skipped: quarantined ({tier.quarantine_reason})",
-                    ))
-                    continue
-                if not tier.breaker.allow():
-                    failures.append((
-                        tier.name,
-                        f"skipped: circuit {tier.breaker.state.value}",
-                    ))
+                skip = service.skip_reason(tier, budget, out_of_time)
+                if skip is not None:
+                    failures.append((tier.name, skip))
                     continue
                 cancel = CancellableDeadline.from_deadline(budget)
                 cancels.append(cancel)
-                executor.submit(
-                    self._hedge_attempt, tier, index, pattern, cancel, results
+                self._pool.submit(
+                    self._timed_attempt, results, next_index - 1, tier,
+                    pattern, cancel,
                 )
                 launched += 1
                 outstanding += 1
                 return True
             return False
 
-        try_launch()
-        winner: Optional[Tuple[int, tuple, float]] = None
-        while outstanding > 0 or next_index < len(tiers):
-            if outstanding == 0:
-                if not try_launch():
-                    break
-                continue
-            timeout: Optional[float] = None
+        winner = None
+        while outstanding or launch():
+            timeout = None
             if next_index < len(tiers):
-                # Hedge timer: the *most recently launched* tier's budget.
-                timeout = self._hedge_delay(tiers[next_index - 1])
+                observed = self._latency.percentile(
+                    tiers[next_index - 1].name, HEDGE_PERCENTILE
+                )
+                timeout = max(self._hedge_after, observed or 0.0)
             try:
-                kind, index, payload, elapsed = results.get(timeout=timeout)
+                index, kind, value = results.get(timeout=timeout)
             except queue.Empty:
-                # Hedge fires: the running tier is slow, launch the next
-                # one without waiting for it to fail.
-                if try_launch():
+                if launch():
                     with self._counter_lock:
                         self._hedges_fired += 1
                 continue
             outstanding -= 1
-            if kind == "ok":
-                winner = (index, payload, elapsed)  # type: ignore[assignment]
+            if kind is ANSWERED:
+                winner = index, value
                 break
-            if kind != "cancelled":
-                failures.append((tiers[index].name, str(payload)))
-            if outstanding == 0:
-                try_launch()
+            failures.append((tiers[index].name, failure_reason(kind, value)))
+            out_of_time = out_of_time or kind is DEADLINE
         for cancel in cancels:
             cancel.cancel()
         if winner is None:
             raise AllTiersFailedError(pattern, failures)
-        index, payload, _elapsed = winner
-        count, model, threshold, reliable = payload
-        with self._counter_lock:
-            if index > 0:
+        index, answer = winner
+        if index > 0:
+            with self._counter_lock:
                 self._hedge_wins += 1
-        return QueryOutcome(
-            pattern=pattern,
-            count=count,
-            tier=tiers[index].name,
-            tier_index=index,
-            error_model=model,
-            threshold=threshold,
-            reliable=reliable,
+        # Attempts overlap, so a per-query engine delta would lie.
+        return service.outcome(
+            pattern, index, answer,
             elapsed=self._clock() - started,
             attempts=launched,
-            failures=tuple(failures),
-            engine=None,  # attempts overlap; per-query deltas would lie
+            failures=failures,
+            engine=None,
             hedged=launched > 1,
         )
 
-    def _hedge_attempt(
+    def _timed_attempt(
         self,
-        tier: Tier,
+        results: "queue.Queue[Tuple[int, str, object]]",
         index: int,
+        tier: Tier,
         pattern: str,
         cancel: CancellableDeadline,
-        results: "queue.Queue[Tuple[str, int, object, float]]",
     ) -> None:
-        """One speculative tier attempt, run on the hedge executor."""
-        attempt_started = self._clock()
-        guarded = not tier.always_available
-        if guarded and not self._bulkhead.acquire(tier):
-            results.put(
-                ("skip", index, "skipped: bulkhead saturated", 0.0)
-            )
-            return
-        try:
-            effective = None if tier.always_available else cancel
-            payload = tier.answer(pattern, effective)
-        except TierDeclined:
-            tier.breaker.record_success()
-            results.put((
-                "declined", index, "declined: cannot certify",
-                self._clock() - attempt_started,
-            ))
-        except DeadlineExceededError as exc:
-            if cancel.cancelled:
-                results.put(("cancelled", index, str(exc), 0.0))
-            else:
-                tier.breaker.record_failure()
-                results.put((
-                    "deadline", index, str(exc),
-                    self._clock() - attempt_started,
-                ))
-        except Exception as exc:  # noqa: BLE001 - hedge boundary
-            tier.breaker.record_failure()
-            results.put((
-                "fail", index, f"{type(exc).__name__}: {exc}",
-                self._clock() - attempt_started,
-            ))
-        else:
-            elapsed = self._clock() - attempt_started
-            tier.breaker.record_success()
-            self._latency.record(tier.name, elapsed)
-            results.put(("ok", index, payload, elapsed))
-        finally:
-            if guarded:
-                self._bulkhead.release(tier)
+        """One hedged attempt on the pool; a win feeds the hedge timer."""
+        begun = self._clock()
+        kind, value, _work = self._service.attempt(
+            tier, pattern, cancel, self._bulkhead
+        )
+        if kind is ANSWERED:
+            self._latency.record(tier.name, self._clock() - begun)
+        results.put((index, kind, value))

@@ -116,11 +116,16 @@ class Tier:
     override :meth:`observe`: after every served query the ladder reports
     the winning outcome back, which is how a frequency-aware tier learns
     the traffic and caches ladder-verified answers without a second
-    query path.
+    query path. The same tiers may set :attr:`upgrades_shed` and override
+    :meth:`shed_upgrade`, which the serving fronts call on every shed
+    answer.
     """
 
     #: Stateful tiers set this to receive :meth:`observe` callbacks.
     wants_feedback = False
+    #: Tiers that can tighten a shed answer set this and override
+    #: :meth:`shed_upgrade`.
+    upgrades_shed = False
 
     def __init__(
         self,
@@ -221,6 +226,18 @@ class Tier:
         :class:`~repro.service.outcome.QueryOutcome` to every tier whose
         :attr:`wants_feedback` is set (skipping the tier that answered).
         The base tier is stateless and ignores it."""
+
+    def shed_upgrade(
+        self, pattern: str, count: int
+    ) -> Optional[Tuple[int, ErrorModel]]:
+        """Shed hook: a tighter answer than the shed bound ``count``.
+
+        When admission sheds a query, the front answers it from the
+        always-available tier and then offers that bound to every tier
+        whose :attr:`upgrades_shed` is set. ``(count, model)`` replaces
+        the bound; None keeps it. The base tier offers nothing.
+        """
+        return None
 
     def _check_feasible(self, pattern: str, value: object, slack: int) -> None:
         ceiling = max(0, self.estimator.text_length - len(pattern) + 1) + slack

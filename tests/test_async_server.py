@@ -17,7 +17,7 @@ from repro.errors import (
     PatternError,
     ServerClosedError,
 )
-from repro.parallel import AsyncBulkhead, AsyncQueryServer
+from repro.parallel import AsyncQueryServer
 from repro.service import (
     QueryOutcome,
     ResilientEstimator,
@@ -43,42 +43,43 @@ def run(coro):
 
 
 class TestAsyncBulkhead:
+    """The async front's bulkhead is the thread front's shared Bulkhead."""
+
     def test_caps_and_counts_saturation(self):
         async def scenario():
-            bulkhead = AsyncBulkhead({"cpst": 1})
-            tier = Tier(TextStatsEstimator(TEXT), "cpst")
-            assert await bulkhead.acquire(tier)
-            assert not await bulkhead.acquire(tier)
-            assert bulkhead.saturation == {"cpst": 1}
-            bulkhead.release(tier)
-            assert await bulkhead.acquire(tier)
+            async with make_server(bulkhead_limits={"cpst": 1}) as server:
+                cpst = server.service.tiers[0]
+                assert server._bulkhead.acquire(cpst)
+                assert not server._bulkhead.acquire(cpst)
+                try:
+                    degraded = await server.query("abra")
+                finally:
+                    server._bulkhead.release(cpst)
+                assert degraded.tier != "cpst"
+                assert server.stats().bulkhead_saturation == {"cpst": 2}
+                outcome = await server.query("abra")
+                assert outcome.tier == "cpst"
+                assert server._bulkhead.acquire(cpst)
+                server._bulkhead.release(cpst)
 
         run(scenario())
 
     def test_unlisted_tier_unbounded_by_default(self):
         async def scenario():
-            bulkhead = AsyncBulkhead({})
-            tier = Tier(TextStatsEstimator(TEXT), "anything")
-            for _ in range(50):
-                assert await bulkhead.acquire(tier)
-
-        run(scenario())
-
-    def test_bounded_wait_times_out(self):
-        async def scenario():
-            bulkhead = AsyncBulkhead(default_limit=1)
-            tier = Tier(TextStatsEstimator(TEXT), "t")
-            assert await bulkhead.acquire(tier)
-            assert not await bulkhead.acquire(tier, wait=0.01)
-            assert bulkhead.saturation == {"t": 1}
+            async with make_server(bulkhead_limits={"cpst": 1}) as server:
+                tier = Tier(TextStatsEstimator(TEXT), "anything")
+                for _ in range(50):
+                    assert server._bulkhead.acquire(tier)
+                assert server.stats().bulkhead_saturation == {}
 
         run(scenario())
 
     def test_validation(self):
+        service = build_default_ladder(TEXT, L, deadline_seconds=5.0)
         with pytest.raises(InvalidParameterError):
-            AsyncBulkhead({"x": 0})
+            AsyncQueryServer(service, bulkhead_limits={"x": 0})
         with pytest.raises(InvalidParameterError):
-            AsyncBulkhead(default_limit=0)
+            AsyncQueryServer(service, bulkhead_wait=-1.0)
 
 
 class TestAsyncQueryServer:
@@ -194,7 +195,7 @@ class TestAsyncQueryServer:
         async def scenario():
             async with make_server(bulkhead_limits={"cpst": 1}) as server:
                 cpst = server.service.tiers[0]
-                assert await server._bulkhead.acquire(cpst)
+                assert server._bulkhead.acquire(cpst)
                 try:
                     outcome = await server.query("abra")
                 finally:

@@ -146,6 +146,13 @@ class TestBulkhead:
         assert bulkhead.acquire(tier)
         assert not bulkhead.acquire(tier)
 
+    def test_bounded_wait_times_out(self):
+        tier = self._tier("t")
+        bulkhead = Bulkhead({}, default_limit=1, wait=0.01)
+        assert bulkhead.acquire(tier)
+        assert not bulkhead.acquire(tier)
+        assert bulkhead.saturation == {"t": 1}
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             Bulkhead({"cpst": 0})
