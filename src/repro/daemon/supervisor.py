@@ -343,17 +343,29 @@ class Supervisor(FanOut):
             )
         worker.attached[number] = value
 
-    def _release(self, worker: PipeWorker, number: int) -> None:
-        worker.attached.pop(number, None)
-        if not worker.serving():
+    def _release(self, workers: Sequence[PipeWorker], number: int) -> None:
+        """Drop generation ``number`` on every serving worker in one round.
+
+        Each worker collects garbage before it replies, so one round,
+        which sends to all workers before it reads any reply, waits for
+        the slowest collection instead of their sum. Best effort: a
+        worker that fails the round goes to :meth:`_fail`, and the
+        caller unlinks the generation regardless.
+        """
+        serving = []
+        for worker in workers:
+            worker.attached.pop(number, None)
+            if worker.serving():
+                serving.append(worker)
+        if not serving:
             return
         try:
             pipe_round(
-                [worker], ("release", number), self._worker_timeout,
+                serving, ("release", number), self._worker_timeout,
                 self._fail,
             )
         except ReproError:
-            pass  # release is best effort: unlink proceeds regardless
+            pass  # a worker-reported error; the unlink proceeds regardless
 
     # -- failure handling -----------------------------------------------------
 
@@ -534,8 +546,7 @@ class Supervisor(FanOut):
         except SimulatedCrashError:
             raise
         except Exception:
-            for worker in attached:
-                self._release(worker, generation.number)
+            self._release(attached, generation.number)
             pool.close()
             raise
         with self._lock:
@@ -565,10 +576,9 @@ class Supervisor(FanOut):
             pool = self._pools.pop(number, None)
             self._inflight.pop(number, None)
         if generation is not None:
-            for i in range(
-                min(len(generation.segments), len(self._workers))
-            ):
-                self._release(self._workers[i], number)
+            self._release(
+                self._workers[:len(generation.segments)], number
+            )
         if pool is not None:
             pool.close()
 

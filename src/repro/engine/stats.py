@@ -19,6 +19,7 @@ probe inserted into each rank call.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 
 @dataclass
@@ -70,9 +71,9 @@ class EngineStats:
     bulk_calls: int = 0
     bulk_states: int = 0
 
-    # The resilient ladder snapshots, subtracts and merges these counters
-    # on every tier attempt, so the arithmetic walks the field names once
-    # fixed at import (_COUNTERS).
+    # The arithmetic walks the field names once fixed at import
+    # (_COUNTERS); the serving ladder's per-attempt snapshot is the
+    # tuple read ``counter_values`` below.
 
     def copy(self) -> "EngineStats":
         """An independent snapshot of the current counters."""
@@ -114,3 +115,9 @@ class EngineStats:
 
 
 _COUNTERS = tuple(f.name for f in fields(EngineStats))
+
+#: ``counter_values(stats)``: the counters of one :class:`EngineStats` as a
+#: tuple in field order, read in one C call. The serving ladder takes one
+#: before and one after every tier attempt and builds an
+#: :class:`EngineStats` delta only when the two differ.
+counter_values = attrgetter(*_COUNTERS)

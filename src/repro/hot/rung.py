@@ -130,10 +130,12 @@ class HotTierRung(Tier):
         # A sketch estimate (+ append slack) can legitimately exceed the
         # trivial ceiling; the min of two upper bounds is still an upper
         # bound, and the clamp keeps honest answers inside the feasible
-        # range. Negative (corrupted) values stay detectable.
+        # range. Negative (corrupted) values stay detectable: the clamped
+        # int is feasible exactly when it is not negative.
         ceiling = max(0, backend.text_length - len(pattern) + 1)
         value = int(ans.count) if ans.count < 0 else min(int(ans.count), ceiling)
-        self._check_feasible(pattern, value, slack=0)
+        if value < 0:
+            self._check_feasible(pattern, value, slack=0)
         return value, ErrorModel.UPPER_BOUND, 1, value == 0
 
     def observe(self, pattern: str, outcome) -> None:

@@ -14,6 +14,14 @@ Two instances back the hot tier:
 Rows hash independently: ``col = ((a * fp + b) mod MOD) mod width``
 with per-row odd multipliers. ``a * fp`` is at most ``2^62`` so the
 whole kernel stays in uint64.
+
+The cells live in one ``depth x width`` uint64 numpy plane. The bulk
+ingest (:meth:`CountMinSketch.add_many`) works on it with numpy; the
+per-query :meth:`~CountMinSketch.add` and
+:meth:`~CountMinSketch.estimate` hash in Python ints (the same values,
+since no intermediate leaves uint64) and index each row through a
+``memoryview`` of the same plane, which costs a few hundred nanoseconds
+where a numpy fancy-index round costs microseconds.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from .fingerprint import MOD
 class CountMinSketch:
     """Fixed-size ``depth x width`` counter plane with uint64 cells."""
 
-    __slots__ = ("_width", "_depth", "_a", "_b", "_cells", "_total", "_seed")
+    __slots__ = (
+        "_width", "_depth", "_a", "_b", "_cells", "_total", "_seed", "_rows",
+    )
 
     def __init__(self, width: int = 2048, depth: int = 4, *, seed: int = 0) -> None:
         if width < 8 or depth < 1:
@@ -45,6 +55,12 @@ class CountMinSketch:
         )
         self._cells = np.zeros((depth, width), dtype=np.uint64)
         self._total = 0
+        # (a, b, row view) per row for the scalar paths: Python-int hash
+        # constants and a memoryview over the row's cells in the plane.
+        self._rows = tuple(
+            (int(a), int(b), memoryview(self._cells[row]))
+            for row, (a, b) in enumerate(zip(self._a, self._b))
+        )
 
     @property
     def width(self) -> int:
@@ -59,14 +75,12 @@ class CountMinSketch:
         """Total weight added (one per window for the answer sketch)."""
         return self._total
 
-    def _columns(self, fp: int) -> np.ndarray:
-        fps = np.uint64(fp % MOD)
-        return ((self._a * fps + self._b) % np.uint64(MOD)) % np.uint64(self._width)
-
     def add(self, fp: int, amount: int = 1) -> None:
-        cols = self._columns(fp)
-        rows = np.arange(self._depth)
-        self._cells[rows, cols] += np.uint64(amount)
+        fp %= MOD
+        width = self._width
+        for a, b, cells in self._rows:
+            col = (a * fp + b) % MOD % width
+            cells[col] += amount
         self._total += int(amount)
 
     def add_many(self, fps: np.ndarray, amount: int = 1) -> None:
@@ -83,9 +97,14 @@ class CountMinSketch:
 
     def estimate(self, fp: int) -> int:
         """Min over rows: >= the true added weight for ``fp``, always."""
-        cols = self._columns(fp)
-        rows = np.arange(self._depth)
-        return int(self._cells[rows, cols].min())
+        fp %= MOD
+        width = self._width
+        least = None
+        for a, b, cells in self._rows:
+            value = cells[(a * fp + b) % MOD % width]
+            if least is None or value < least:
+                least = value
+        return least
 
     def space_bits(self) -> int:
         return int(self._cells.size * 64 + self._a.size * 64 + self._b.size * 64)

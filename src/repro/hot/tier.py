@@ -48,7 +48,11 @@ from .topk import SpaceSavingTable
 
 @dataclass(frozen=True)
 class HotAnswer:
-    """One hot-tier answer: served scalar plus its sound interval."""
+    """One hot-tier answer: served scalar plus its sound interval.
+
+    Immutable, so a verified entry builds its ``EXACT`` answer once and
+    every hit in that epoch returns the same object.
+    """
 
     count: int
     lo: int
@@ -199,26 +203,27 @@ class HotPatternTier:
 
         A returned answer is always sound: ``EXACT`` only for an
         epoch-current verified count, ``UPPER_BOUND`` with a containing
-        interval otherwise.
+        interval otherwise. An epoch-current verified hit is one table
+        probe and returns the answer built when the count was verified.
         """
         if not pattern:
             return None
         with self._lock:
-            self.stats.lookups += 1
+            stats = self.stats
+            stats.lookups += 1
             plen = len(pattern)
             entry = self._table.hit(pattern)
             if entry is not None and entry.verified_count is not None:
                 if entry.verified_epoch == self._epoch:
-                    c = int(entry.verified_count)
-                    self.stats.exact_hits += 1
-                    return HotAnswer(c, c, c, ErrorModel.EXACT, "topk", self._epoch)
+                    stats.exact_hits += 1
+                    return entry.answer
                 interval = self._stale_interval(entry, plen)
                 if interval is None:
                     # Too mutated to bound usefully: forget, re-verify.
                     entry.drop_verification()
                 else:
                     lo, hi = interval
-                    self.stats.stale_hits += 1
+                    stats.stale_hits += 1
                     return HotAnswer(
                         hi, lo, hi, ErrorModel.UPPER_BOUND, "stale", self._epoch
                     )
@@ -240,17 +245,18 @@ class HotPatternTier:
                         # unverified there, so the decline happens once
                         # (plus a retry every ``reverify_every`` hits in
                         # case the ladder regains exactness later).
-                        self.stats.misses += 1
+                        stats.misses += 1
                         return None
-                    slack = sum(
-                        max(0, m - plen + 1) for m in self._sketch_slack
-                    )
-                    hi = self._answers.estimate(fp) + slack
-                    self.stats.sketch_hits += 1
+                    hi = self._answers.estimate(fp)
+                    if self._sketch_slack:
+                        hi += sum(
+                            max(0, m - plen + 1) for m in self._sketch_slack
+                        )
+                    stats.sketch_hits += 1
                     return HotAnswer(
                         hi, 0, hi, ErrorModel.UPPER_BOUND, "sketch", self._epoch
                     )
-            self.stats.misses += 1
+            stats.misses += 1
             return None
 
     def lookup_exact(self, pattern: str) -> Optional[int]:
@@ -315,8 +321,12 @@ class HotPatternTier:
                     return
                 if len(self._table) != before or self._table.evictions:
                     self.stats.promotions += 1
-            entry.verified_count = int(count)
+            count = int(count)
+            entry.verified_count = count
             entry.verified_epoch = self._epoch
+            entry.answer = HotAnswer(
+                count, count, count, ErrorModel.EXACT, "topk", self._epoch
+            )
             entry.stale_appends.clear()
             entry.stale_deletes.clear()
             self.stats.verifications += 1

@@ -141,26 +141,31 @@ class AdmissionController:
         self._max_waiting = max_waiting
         self._max_wait = max_wait
         self._bucket = bucket
-        self._cond = threading.Condition()
+        # Decisions take the lock itself; only waits go through the
+        # condition (its context manager is a Python-level call).
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._inflight = 0
         self._waiting = 0
+        #: Threads in :meth:`wait_idle`, the other sleepers on ``_cond``.
+        self._idle_waiters = 0
         self._draining = False
         self._stats = AdmissionStats()
 
     @property
     def inflight(self) -> int:
         """Queries currently admitted and not yet released."""
-        with self._cond:
+        with self._lock:
             return self._inflight
 
     def stats(self) -> AdmissionStats:
         """Snapshot of the admission counters."""
-        with self._cond:
+        with self._lock:
             return self._stats.copy()
 
     def set_draining(self, draining: bool = True) -> None:
         """While draining, every new arrival is shed (reason ``draining``)."""
-        with self._cond:
+        with self._lock:
             self._draining = draining
             self._cond.notify_all()
 
@@ -174,7 +179,7 @@ class AdmissionController:
         own deadline: the caller waits for a :meth:`release` or that
         instant, then asks :meth:`settle`.
         """
-        with self._cond:
+        with self._lock:
             # Rate first, then drain; a draining front names the drain
             # whichever check refused the arrival.
             if self._bucket is not None and not self._bucket.try_acquire():
@@ -203,7 +208,7 @@ class AdmissionController:
         A free slot admits it; past ``until`` it is shed as timed out; a
         drain sheds it; otherwise it keeps waiting until ``until``.
         """
-        with self._cond:
+        with self._lock:
             if self._inflight < self._max_concurrent:
                 self._waiting -= 1
                 self._inflight += 1
@@ -219,7 +224,7 @@ class AdmissionController:
 
     def withdraw(self) -> None:
         """A waiter gives up before :meth:`settle` decided it."""
-        with self._cond:
+        with self._lock:
             self._waiting -= 1
 
     def _shed(self, counter: str, reason: str) -> str:
@@ -239,7 +244,7 @@ class AdmissionController:
             return decision
         # Settle before each wait, under the lock the wait releases, so a
         # slot freed since arrive() is never missed.
-        with self._cond:
+        with self._lock:
             try:
                 while True:
                     decision = self.settle(decision)
@@ -253,23 +258,34 @@ class AdmissionController:
                     self.withdraw()
 
     def release(self) -> None:
-        """Return one admitted query's slot to the pool."""
-        with self._cond:
+        """Return one admitted query's slot to the pool.
+
+        Only waiting arrivals (counted in ``_waiting`` from their arrival
+        to their settlement) and :meth:`wait_idle` callers sleep on the
+        condition, and both register under the lock before they sleep,
+        so a release that sees neither has no one to wake.
+        """
+        with self._lock:
             if self._inflight <= 0:
                 raise InvalidParameterError(
                     "release() without a matching successful admit()"
                 )
             self._inflight -= 1
-            self._cond.notify_all()
+            if self._waiting or self._idle_waiters:
+                self._cond.notify_all()
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until no query is in flight; True iff fully drained."""
         end = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._inflight > 0:
-                left = None if end is None else end - time.monotonic()
-                if left is not None and left <= 0:
-                    return False
-                if not self._cond.wait(timeout=left):
-                    return False
-            return True
+        with self._lock:
+            self._idle_waiters += 1
+            try:
+                while self._inflight > 0:
+                    left = None if end is None else end - time.monotonic()
+                    if left is not None and left <= 0:
+                        return False
+                    if not self._cond.wait(timeout=left):
+                        return False
+                return True
+            finally:
+                self._idle_waiters -= 1

@@ -14,10 +14,14 @@ paid its full latency on every query while it is down.
   refused until the trials resolve). Any failure re-opens the breaker;
   ``trial_calls`` successes close it and clear the window.
 
-The breaker is **thread-safe**: every state read and transition happens
-under one internal lock, so concurrent callers in the half-open state are
-admitted exactly ``trial_calls`` at a time — N threads hammering
-:meth:`allow` cannot stampede a recovering tier.
+The breaker is **thread-safe**: every transition and every window update
+happens under one internal lock, so concurrent callers in the half-open
+state are admitted exactly ``trial_calls`` at a time — N threads
+hammering :meth:`allow` cannot stampede a recovering tier. The one read
+taken without the lock is :meth:`allow` seeing a closed breaker (see
+there); outcomes are always recorded under the lock, because
+:meth:`failure_rate` iterates the window that :meth:`record_success`
+appends to.
 
 The clock is injectable (``time.monotonic`` by default), so state-machine
 tests advance a :class:`~repro.service.deadline.ManualClock` instead of
@@ -110,7 +114,16 @@ class CircuitBreaker:
         ``trial_calls`` probe permits; callers that receive True are
         expected to report the call's outcome via :meth:`record_success`
         or :meth:`record_failure`.
+
+        A closed breaker answers without the lock. The read is one
+        attribute load, and a closed breaker admits with no side effect
+        (no permit to count, no cooldown to check), so the answer is the
+        one the locked path gives. A transition racing the read (a
+        failure opening the breaker) orders this call before it, exactly
+        as if this call had taken the lock first.
         """
+        if self._state is BreakerState.CLOSED:
+            return True
         with self._lock:
             self._maybe_half_open()
             if self._state is BreakerState.OPEN:
@@ -124,6 +137,9 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """Report one successful call through the breaker."""
         with self._lock:
+            if self._state is BreakerState.CLOSED:
+                self._window.append(True)
+                return
             self._maybe_half_open()
             if self._state is BreakerState.HALF_OPEN:
                 self._trial_successes += 1

@@ -21,10 +21,12 @@ always available). :func:`build_default_ladder` assembles exactly that.
 from __future__ import annotations
 
 import time
+from operator import sub
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.interface import ErrorModel, OccurrenceEstimator
 from ..engine import EngineStats
+from ..engine.stats import counter_values
 from ..errors import (
     AllTiersFailedError,
     DeadlineExceededError,
@@ -110,6 +112,10 @@ class ResilientEstimator:
         for tier in self._tiers:
             if tier.breaker is None:
                 tier.breaker = make_breaker()
+        #: The tiers that hear every served outcome (see :meth:`_notify`).
+        self._feedback: List[Tier] = [
+            tier for tier in self._tiers if tier.wants_feedback
+        ]
 
     @property
     def tiers(self) -> List[Tier]:
@@ -141,7 +147,9 @@ class ResilientEstimator:
         The method itself is safe for concurrent callers: all per-query
         state is local, breakers and counters take their own locks, and
         the retry RNG is lock-protected. Per-query ``engine`` deltas are
-        best-effort under concurrency (see :class:`QueryOutcome`).
+        best-effort under concurrency (see :class:`QueryOutcome`); a
+        query no engine ran for (a hot-rung hit) carries an all-zero
+        :class:`~repro.engine.EngineStats`.
         """
         if not isinstance(pattern, str) or not pattern:
             raise PatternError("pattern must be a non-empty string")
@@ -154,9 +162,9 @@ class ResilientEstimator:
         failures: List[tuple] = []
         attempts = 0
         out_of_time = False
-        # Engine work this query costs, summed over every attempted tier
-        # (snapshot/delta against each tier's lifetime counters).
-        engine_total = EngineStats()
+        # Engine work this query costs, summed over the attempts whose
+        # tier counters moved (None until one does).
+        engine_total: Optional[EngineStats] = None
 
         for index, tier in enumerate(self._tiers):
             skip = self.skip_reason(tier, budget, out_of_time)
@@ -171,14 +179,21 @@ class ResilientEstimator:
                     break
                 attempt += 1
                 attempts += 1
-                engine_total.merge(work)
+                if work is not None:
+                    engine_total = (
+                        work if engine_total is None
+                        else engine_total.merge(work)
+                    )
                 if kind is ANSWERED:
                     return self.outcome(
                         pattern, index, value,
                         elapsed=self._clock() - started,
                         attempts=attempts,
                         failures=failures,
-                        engine=engine_total,
+                        engine=(
+                            EngineStats() if engine_total is None
+                            else engine_total
+                        ),
                     )
                 failures.append((tier.name, failure_reason(kind, value)))
                 if kind is DECLINED:
@@ -240,12 +255,16 @@ class ResilientEstimator:
         :data:`CANCELLED` (``value`` is the failure reason) or
         :data:`FAILED` (``value`` is the exception), and the breaker
         records the outcome — except a cancellation, which says nothing
-        about the tier's health.
+        about the tier's health. The engine delta is None when the
+        tier's counters did not move (a hot-rung hit or decline): the
+        counters are read as tuples, and an
+        :class:`~repro.engine.EngineStats` is built only for a change.
         """
         guarded = guard is not None and not tier.always_available
         if guarded and not guard.acquire(tier):
             return SATURATED, "skipped: bulkhead saturated", None
-        before = tier.engine_stats.copy()
+        counters = tier.engine_stats
+        before = counter_values(counters)
         try:
             value: object = tier.answer(
                 pattern, None if tier.always_available else deadline
@@ -272,7 +291,10 @@ class ResilientEstimator:
         finally:
             if guarded:
                 guard.release(tier)
-        return kind, value, tier.engine_stats - before
+        after = counter_values(counters)
+        if after == before:
+            return kind, value, None
+        return kind, value, EngineStats(*map(sub, after, before))
 
     def outcome(
         self,
@@ -339,9 +361,7 @@ class ResilientEstimator:
         swallowed; the watchdog's differential probes are the mechanism
         that catches a tier whose feedback path corrupted it.
         """
-        for tier in self._tiers:
-            if not tier.wants_feedback:
-                continue
+        for tier in self._feedback:
             if tier.name == outcome.tier or tier.quarantined:
                 continue
             try:

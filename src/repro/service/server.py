@@ -109,6 +109,9 @@ class Bulkhead:
         self._limits = dict(limits)
         self._default_limit = default_limit
         self._wait = wait
+        #: False when no tier has a cap: every acquire admits at once,
+        #: without the lock that finds a tier's semaphore.
+        self._bounded = bool(self._limits) or default_limit is not None
         self._semaphores: Dict[str, threading.BoundedSemaphore] = {}
         self._lock = threading.Lock()
         self.saturation: Dict[str, int] = {}
@@ -125,6 +128,8 @@ class Bulkhead:
             return semaphore
 
     def acquire(self, tier: Tier) -> bool:
+        if not self._bounded:
+            return True
         semaphore = self._semaphore(tier.name)
         if semaphore is None:
             return True
@@ -140,6 +145,8 @@ class Bulkhead:
         return admitted
 
     def release(self, tier: Tier) -> None:
+        if not self._bounded:
+            return
         semaphore = self._semaphore(tier.name)
         if semaphore is not None:
             semaphore.release()
@@ -461,6 +468,9 @@ class QueryServer:
         :class:`CancellableDeadline`. The first answer wins; the others
         are cancelled, and a cancelled attempt records no breaker outcome.
         Hedging replaces the retry policy: the next tier *is* the retry.
+        Only a launch the timer fired is a hedge: a win counts in
+        ``hedge_wins`` and marks the outcome ``hedged`` only when such a
+        launch answered, not when a decline or failure handed over.
         """
         service = self._service
         tiers = service.tiers
@@ -469,6 +479,7 @@ class QueryServer:
         failures: List[Tuple[str, str]] = []
         out_of_time = False
         launched = outstanding = next_index = 0
+        fired: List[int] = []  # tier indices the hedge timer launched
 
         def launch() -> bool:
             """Launch the next tier the skips let through."""
@@ -503,6 +514,7 @@ class QueryServer:
                 index, kind, value = results.get(timeout=timeout)
             except queue.Empty:
                 if launch():
+                    fired.append(next_index - 1)
                     with self._counter_lock:
                         self._hedges_fired += 1
                 continue
@@ -517,7 +529,8 @@ class QueryServer:
         if winner is None:
             raise AllTiersFailedError(pattern, failures)
         index, answer = winner
-        if index > 0:
+        hedged = index in fired
+        if hedged:
             with self._counter_lock:
                 self._hedge_wins += 1
         # Attempts overlap, so a per-query engine delta would lie.
@@ -527,7 +540,7 @@ class QueryServer:
             attempts=launched,
             failures=failures,
             engine=None,
-            hedged=launched > 1,
+            hedged=hedged,
         )
 
     def _timed_attempt(

@@ -310,6 +310,33 @@ class TestHotReload:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=ref.shm_name)
 
+    def test_retired_generation_released_in_one_round(self, sup, monkeypatch):
+        import repro.daemon.supervisor as supervisor_module
+
+        real_round = supervisor_module.pipe_round
+        releases = []
+
+        def counting_round(workers, request, window, fail):
+            if request[0] == "release":
+                releases.append((request[1], [w.name for w in workers]))
+            return real_round(workers, request, window, fail)
+
+        monkeypatch.setattr(supervisor_module, "pipe_round", counting_round)
+        old = sup.generation
+        assert len(old.segments) >= 2
+        fleet = [w.name for w in sup._workers[:len(old.segments)]]
+        sup.reload(compact=False)
+        assert releases == [(old.number, fleet)]
+        for state in sup.worker_states()[:len(old.segments)]:
+            assert state["alive"] and old.number not in state["attached"]
+        # Each worker process dropped it too: a count against it fails.
+        for worker in sup._workers[:len(old.segments)]:
+            with pytest.raises(InvalidParameterError):
+                real_round(
+                    [worker], ("count", old.number, "ab", 5.0), 5.0,
+                    sup._fail,
+                )
+
     def test_delete_widens_until_compaction(self, sup):
         # Deleting a *compacted-shard* document leaves a tombstone (the
         # immutable shards cannot forget it); the generation must carry

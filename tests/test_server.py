@@ -299,6 +299,47 @@ class TestQueryServer:
         finally:
             release.set()
 
+    def test_hedge_accounting_counts_only_fired_launches(self):
+        # A decline hands the query to the next tier at once; that launch
+        # is not a hedge. With a delay no attempt outlasts, nothing fires
+        # and nothing is won, though most answers come from below tier 0.
+        service = build_default_ladder(TEXT, L, deadline_seconds=5.0, hot=True)
+        patterns = [TEXT.raw[s:s + n] for s in range(32) for n in (3, 6)]
+        with QueryServer(service, hedge_after=5.0) as server:
+            outcomes = [server.query(pattern) for pattern in patterns]
+            stats = server.stats()
+        assert sum(outcome.tier_index > 0 for outcome in outcomes) > 20
+        assert (stats.hedges_fired, stats.hedge_wins) == (0, 0)
+        assert not any(outcome.hedged for outcome in outcomes)
+
+        # A first tier that outlasts the delay: the timer launches the
+        # next tier, which answers, and that win counts.
+        release = threading.Event()
+
+        class StallingEstimator(TextStatsEstimator):
+            def count(self, pattern):
+                release.wait(5.0)
+                return super().count(pattern)
+
+        from repro.service import ResilientEstimator
+
+        service = ResilientEstimator(
+            [
+                Tier(StallingEstimator(TEXT), "slow"),
+                Tier(TextStatsEstimator(TEXT), "stats", always_available=True),
+            ],
+            deadline_seconds=10.0,
+        )
+        try:
+            with QueryServer(service, hedge_after=0.05) as server:
+                outcome = server.query("abra")
+                stats = server.stats()
+        finally:
+            release.set()
+        assert outcome.tier == "stats" and outcome.hedged
+        assert stats.hedges_fired >= 1
+        assert stats.hedge_wins == 1
+
     def test_concurrent_probe_loses_nothing(self):
         with make_server(max_concurrent=4, max_waiting=64, max_wait=2.0) as server:
             patterns = ["abra", "quick", "fox", "zzz", "the_"] * 8
