@@ -1,10 +1,10 @@
 """Suffix-sharing batch counting: measured speedup on overlapping workloads.
 
 The MOL-style workload (all substrings of a handful of patterns) shares
-suffixes heavily; the engine's trie planner (and its facade, the
-SuffixSharingCounter) should clearly beat naive per-pattern counting
-there. The ``results/engine_stats.json`` artifact (step/rank-op and
-scalar-vs-vectorized throughput comparison) is produced by
+suffixes heavily; the engine's trie planner (behind the IndexCounter
+every caller counts through) should clearly beat naive per-pattern
+counting there. The ``results/engine_stats.json`` artifact (step/rank-op
+and naive-vs-planned throughput comparison) is produced by
 ``test_engine_bench.py``.
 """
 
@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from repro.batch import SuffixSharingCounter
-from repro.engine import TrieBatchPlanner, automaton_of
+from repro.engine import IndexCounter, planner_for
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +35,7 @@ def test_batched_fm(benchmark, workload):
     index = ctx.build_fm()
 
     def run():
-        return SuffixSharingCounter(index).count_many(patterns)
+        return IndexCounter(index, max_states=None).count_many(patterns)
 
     results = benchmark(run)
     assert len(results) == len(patterns)
@@ -45,7 +44,7 @@ def test_batched_fm(benchmark, workload):
     naive = [index.count(p) for p in patterns]
     naive_time = time.perf_counter() - t0
     t0 = time.perf_counter()
-    shared = SuffixSharingCounter(index).count_many(patterns)
+    shared = IndexCounter(index, max_states=None).count_many(patterns)
     shared_time = time.perf_counter() - t0
     assert shared == naive
     # Heavily overlapping workload: sharing must win by a clear margin.
@@ -57,21 +56,19 @@ def test_batched_apx(benchmark, workload):
     index = ctx.build_apx(32)
 
     def run():
-        return SuffixSharingCounter(index).count_many(patterns)
+        return IndexCounter(index, max_states=None).count_many(patterns)
 
     results = benchmark(run)
     assert all(r >= 0 for r in results)
 
 
 def test_planner_fm(benchmark, workload):
-    """The engine planner driven directly (no facade) on the same batch."""
+    """The engine planner driven directly (no counter) on the same batch."""
     ctx, patterns = workload
     index = ctx.build_fm()
-    automaton = automaton_of(index)
-    assert automaton is index
 
     def run():
-        return TrieBatchPlanner(automaton).count_many(patterns)
+        return planner_for(index).count_many(patterns)
 
     results = benchmark(run)
     assert results == [index.count(p) for p in patterns]
@@ -81,7 +78,7 @@ def test_engine_stats_comparison(contexts):
     """Figure 9 workload, naive vs trie-planned: the planner must need
     measurably fewer automaton extensions. (The persisted
     ``engine_stats.json`` artifact now lives in test_engine_bench.py,
-    which adds the scalar-vs-vectorized throughput columns.)"""
+    which adds the naive-vs-planned throughput columns.)"""
     from repro.experiments.engine import measure
 
     # One corpus keeps the smoke job fast; `repro experiment engine`

@@ -1,14 +1,14 @@
-"""Vectorized engine throughput: scalar vs wave-stepped batch execution.
+"""Engine throughput: wave-planned batches vs per-pattern counting.
 
 The Figure 9 workload (random patterns at lengths 6/8/10/12) drives each
-engine-capable index three ways — naive per-pattern counting, the scalar
-trie planner, and the vectorized wave planner — and persists throughput
-plus the bulk-width histogram as ``results/engine_stats.json`` (the
-artifact CI's bench-smoke job uploads). The headline floor: on a >= 4-CPU
-host the vectorized batch path must clear **5x** the naive per-pattern
-throughput somewhere in the corpus/index grid — batch speedup compounds
-suffix sharing with wave width, so it grows with batch size, and the
-800-pattern Figure 9 batch on the low-sigma corpus is the shape the PR's
+engine-capable index two ways — naive per-pattern counting and the trie
+planner's wave walk — and persists throughput plus the bulk-width
+histogram as ``results/engine_stats.json`` (the artifact CI's
+bench-smoke job uploads). The headline floor: on a >= 4-CPU host the
+planned batch path must clear **5x** the naive per-pattern throughput
+somewhere in the corpus/index grid — batch speedup compounds suffix
+sharing with wave width, so it grows with batch size, and the
+800-pattern Figure 9 batch on the low-sigma corpus is the shape the
 batch-serving claim rests on.
 """
 
@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.engine import TrieBatchPlanner, automaton_of
+from repro.engine import planner_for
 
 #: The CI floor only binds on hosts with real parallel headroom (and
 #: therefore believable timers); laptops and tiny runners still produce
@@ -38,47 +38,39 @@ def _figure9_workload(ctx, per_length=200):
 
 
 def _throughput_row(ctx_name, label, index, patterns):
-    """Time naive / scalar-planned / vectorized-planned over one workload."""
-    automaton = automaton_of(index)
+    """Time naive per-pattern counting and the planned batch over one
+    workload."""
     started = time.perf_counter()
     naive = [index.count(p) for p in patterns]
     naive_seconds = time.perf_counter() - started
 
-    scalar = TrieBatchPlanner(automaton, vectorize=False)
+    planner = planner_for(index)
     started = time.perf_counter()
-    scalar_results = scalar.count_many(patterns)
-    scalar_seconds = time.perf_counter() - started
+    planned_results = planner.count_many(patterns)
+    planned_seconds = time.perf_counter() - started
 
-    vectorized = TrieBatchPlanner(automaton, vectorize=True)
-    started = time.perf_counter()
-    vectorized_results = vectorized.count_many(patterns)
-    vectorized_seconds = time.perf_counter() - started
-
-    assert vectorized_results == scalar_results == naive
+    assert planned_results == naive
     k = len(patterns)
     return {
         "dataset": ctx_name,
         "index": label,
         "patterns": k,
         "naive_seconds": round(naive_seconds, 6),
-        "scalar_seconds": round(scalar_seconds, 6),
-        "vectorized_seconds": round(vectorized_seconds, 6),
+        "planned_seconds": round(planned_seconds, 6),
         "naive_qps": round(k / naive_seconds, 1),
-        "scalar_qps": round(k / scalar_seconds, 1),
-        "vectorized_qps": round(k / vectorized_seconds, 1),
-        "batch_speedup": round(naive_seconds / vectorized_seconds, 2),
-        "scalar_vs_vectorized": round(scalar_seconds / vectorized_seconds, 2),
-        "bulk_waves": vectorized.stats.bulk_calls,
-        "bulk_states": vectorized.stats.bulk_states,
+        "planned_qps": round(k / planned_seconds, 1),
+        "batch_speedup": round(naive_seconds / planned_seconds, 2),
+        "bulk_waves": planner.stats.bulk_calls,
+        "bulk_states": planner.stats.bulk_states,
         "bulk_width_histogram": {
             str(width): count
-            for width, count in sorted(vectorized.bulk_widths.items())
+            for width, count in sorted(planner.bulk_widths.items())
         },
     }
 
 
 def test_vectorized_throughput_artifact(contexts, save_report):
-    """Scalar-vs-vectorized throughput + bulk-width histograms, persisted
+    """Naive-vs-planned throughput + bulk-width histograms, persisted
     as ``results/engine_stats.json`` together with the step/rank-op
     comparison rows of the engine experiment."""
     from repro.experiments.engine import measure
@@ -112,20 +104,21 @@ def test_vectorized_throughput_artifact(contexts, save_report):
                     "batch_speedup": round(row.batch_speedup, 2),
                 }
             )
-    payload = {"rows": experiment_rows, "vectorized": throughput}
+    payload = {"rows": experiment_rows, "throughput": throughput}
     rendered = json.dumps(payload, indent=2)
     path = save_report("engine_stats", rendered)
     json_path = path.with_suffix(".json")
     json_path.write_text(rendered + "\n", encoding="utf-8")
     assert json_path.exists()
 
-    # Bulk waves must genuinely fire somewhere in the grid (the narrow-wave
-    # scalar fallback may zero them on high-sigma corpora, but the dna
-    # workload's fat waves always clear the width floor).
+    # Bulk waves must genuinely fire somewhere in the grid (narrow waves
+    # step one state at a time, which may zero them on high-sigma
+    # corpora, but the dna workload's fat waves always clear the width
+    # floor).
     assert any(r["bulk_waves"] > 0 for r in throughput)
     assert sum(r["bulk_waves"] for r in experiment_rows) > 0
 
-    # The CI floor: vectorized batch throughput >= 5x naive per-pattern
+    # The CI floor: planned batch throughput >= 5x naive per-pattern
     # throughput on the grid's best row (the low-sigma corpus packs the
     # fattest waves, and CPST's ISL bisects amortise best), asserted only
     # where the host has the cores CI's bench-smoke runs on.
@@ -133,7 +126,7 @@ def test_vectorized_throughput_artifact(contexts, save_report):
     best = max(r["batch_speedup"] for r in throughput)
     if cpus >= MIN_CPUS_FOR_FLOOR:
         assert best >= BATCH_THROUGHPUT_FLOOR, (
-            f"vectorized batch throughput floor missed: best {best:.2f}x "
+            f"planned batch throughput floor missed: best {best:.2f}x "
             f"< {BATCH_THROUGHPUT_FLOOR}x on a {cpus}-CPU host"
         )
     # Histogram sanity everywhere: widths times counts == bulk states.
@@ -146,15 +139,14 @@ def test_vectorized_throughput_artifact(contexts, save_report):
 
 @pytest.mark.parametrize("kind", ["fm", "cpst"])
 def test_wave_planner_benchmark(benchmark, contexts, kind):
-    """pytest-benchmark row for the vectorized planner on the Figure 9
+    """pytest-benchmark row for the wave planner on the Figure 9
     workload (compare against test_planner_fm in test_batch_counting)."""
     ctx = contexts["english"]
     index = ctx.build_fm() if kind == "fm" else ctx.build_cpst(16)
     patterns = _figure9_workload(ctx, per_length=25)
-    automaton = automaton_of(index)
     expected = [index.count(p) for p in patterns]
 
     def run():
-        return TrieBatchPlanner(automaton, vectorize=True).count_many(patterns)
+        return planner_for(index).count_many(patterns)
 
     assert benchmark(run) == expected

@@ -12,9 +12,8 @@ happens when one shard rots?" This example walks the whole plane:
    WIDEN_INTERVAL keeps `l` per shard and reports the widened bound;
 3. fan-out counting with the explicit error algebra (`MergedCount`),
    including the product automaton driving batched engine queries —
-   stepped as vectorized waves (one `step_many` per frontier symbol,
-   fanned across every live shard column) and A/B'd against the scalar
-   walk;
+   stepped as waves (one `step_many` per frontier symbol, fanned across
+   every live shard column) and checked against the fan-out answers;
 4. shard-granular failure: quarantine one shard, watch the other k-1
    keep serving a sound (upper-bound) answer, then let the corruption
    watchdog convict, rebuild and readmit a shard that silently lies.
@@ -67,7 +66,7 @@ def main() -> None:
     print()
 
     # -- 3. the engine path: one product automaton over k shards ----------
-    from repro.engine import TrieBatchPlanner, automaton_of
+    from repro.engine import planner_for
 
     sharded, _ = build_sharded(plan, "apx", L)
     workload = sorted({
@@ -76,13 +75,11 @@ def main() -> None:
         for w in (body[i : i + 4] for i in range(0, 600, 7))
         if ROW_SEPARATOR not in w
     })
-    automaton = automaton_of(sharded)
-    # wave_width_min=1 vectorizes even this small demo batch; production
-    # keeps the default crossover and decides per wave.
-    waves = TrieBatchPlanner(automaton, vectorize=True, wave_width_min=1)
-    scalar = TrieBatchPlanner(automaton, vectorize=False)
+    # Waves narrower than the planner's crossover step one state at a
+    # time; wider ones go through step_many. Answers are the same.
+    waves = planner_for(sharded)
     batched = waves.count_many(workload)
-    assert batched == scalar.count_many(workload)  # bit-identical answers
+    assert batched == [sharded.count(w) for w in workload]  # == fan-out
     print(f"batched {len(workload)} patterns over the product automaton: "
           f"{waves.stats.bulk_calls} step_many waves covered "
           f"{waves.stats.bulk_states} of {waves.stats.automaton_steps} "

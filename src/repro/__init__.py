@@ -28,7 +28,8 @@ Main entry points:
   per-stage telemetry.
 * :mod:`repro.engine` — the backward-search engine: the
   :class:`BackwardSearchAutomaton` protocol every index implements, the
-  trie-planned batch executor and its work counters.
+  trie-planned batch executor, the :class:`IndexCounter` every caller
+  counts through, and the work counters.
 * :mod:`repro.selectivity` — KVI / MO / MOL LIKE-predicate estimators.
 * :mod:`repro.shard` — the sharded corpus plane: document-aligned
   partitions (:class:`ShardPlan`), per-shard indexes fanned out and
@@ -43,7 +44,6 @@ Main entry points:
 * :mod:`repro.experiments` — regenerate every table/figure of the paper.
 """
 
-from .batch import SuffixSharingCounter
 from .build import (
     ArtifactCache,
     BuildContext,
@@ -58,6 +58,7 @@ from .engine import (
     AutomatonCapabilities,
     BackwardSearchAutomaton,
     EngineStats,
+    IndexCounter,
     TrieBatchPlanner,
     automaton_of,
     planner_for,
@@ -151,10 +152,10 @@ __all__ = [
     "IndexSpec",
     "build_all",
     "default_tier_specs",
-    "SuffixSharingCounter",
     "AutomatonCapabilities",
     "BackwardSearchAutomaton",
     "EngineStats",
+    "IndexCounter",
     "TrieBatchPlanner",
     "automaton_of",
     "planner_for",

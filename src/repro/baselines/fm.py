@@ -194,7 +194,7 @@ class FMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     def capabilities(self) -> AutomatonCapabilities:
         # One backward-search step = two rank queries on the BWT wavelet
         # tree (Figure 2).
-        return AutomatonCapabilities(exact=True, rank_ops_per_step=2, vectorized=True)
+        return AutomatonCapabilities(exact=True, rank_ops_per_step=2)
 
     # -- locate / extract (SA sampling) ---------------------------------------
 

@@ -202,7 +202,7 @@ class PrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     def capabilities(self) -> AutomatonCapabilities:
         # Pointer/bisect navigation: no succinct rank structures touched
         # (bulk stepping is a single searchsorted over the id lists).
-        return AutomatonCapabilities(lower_sided=True, threshold=self._l, vectorized=True)
+        return AutomatonCapabilities(lower_sided=True, threshold=self._l)
 
     # -- frequent-substring mining -------------------------------------------
 

@@ -213,7 +213,7 @@ class RLFMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     def capabilities(self) -> AutomatonCapabilities:
         # One step = two rank evaluations over the virtual L (each a run
         # lookup + wavelet rank + prefix-sum access).
-        return AutomatonCapabilities(exact=True, rank_ops_per_step=2, vectorized=True)
+        return AutomatonCapabilities(exact=True, rank_ops_per_step=2)
 
     # -- space ---------------------------------------------------------------
 

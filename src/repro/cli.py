@@ -49,7 +49,7 @@ from .baselines import (
 )
 from .core import ApproxIndex, CompactPrunedSuffixTree
 from .datasets import GENERATORS, generate
-from .errors import InvalidParameterError, ReproError
+from .errors import ReproError
 from .experiments.runner import EXPERIMENTS, run as run_experiment
 from .space import text_bits
 from .suffixtree import PrunedSuffixTreeStructure
@@ -104,21 +104,12 @@ def _shard_plan(text: Text, shards: int):
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .engine import planner_for
+    from .engine import IndexCounter
 
     _, index = _build_index(args)
-    planner = planner_for(index, vectorize=not args.no_vectorize)
-    if planner is None and args.no_vectorize:
-        raise InvalidParameterError(
-            f"--no-vectorize is meaningless for --index {args.index}: it has "
-            "no backward-search automaton (per-pattern counting only)"
-        )
-    if planner is not None:
-        counts = dict(zip(args.patterns, planner.count_many(args.patterns)))
-        stats = planner.stats
-    else:
-        counts = {pattern: index.count(pattern) for pattern in args.patterns}
-        stats = None
+    counter = IndexCounter(index)
+    counts = dict(zip(args.patterns, counter.count_many(args.patterns)))
+    stats = None if counter.planner is None else counter.stats
     if args.json:
         import json
 
@@ -322,17 +313,6 @@ def cmd_serve_check(args: argparse.Namespace) -> int:
 
     from .build import BuildContext
 
-    if args.no_vectorize:
-        if args.processes > 1 or args.daemon_smoke:
-            # The vectorize default is process-global; worker processes are
-            # spawned fresh and would silently ignore the flag.
-            raise InvalidParameterError(
-                "--no-vectorize only governs in-process planners; it does "
-                "not combine with --processes > 1 or --daemon-smoke"
-            )
-        from .engine import set_default_vectorize
-
-        set_default_vectorize(False)
     text = None
     if args.text is not None:
         text = _load_text(args.text, args.size, args.seed)
@@ -873,12 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the engine work counters (automaton steps, rank ops, "
         "cache traffic, bulk waves) for the batch",
     )
-    p.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="force the scalar one-step-at-a-time engine path (vectorized "
-        "step_many waves are the default where the index supports them)",
-    )
     p.add_argument("patterns", nargs="+")
     p.set_defaults(func=cmd_count)
 
@@ -994,10 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --live DIR: rehearse the serving daemon "
                         "(worker fleet, control socket, one "
                         "ingest -> hot reload -> query cycle) and exit")
-    p.add_argument("--no-vectorize", action="store_true",
-                   help="serve through the scalar engine path (in-process "
-                        "planners only; rejected with --processes > 1 or "
-                        "--daemon-smoke)")
     p.add_argument("--hot", action="store_true",
                    help="front the ladder with the frequency-aware hot "
                         "tier (top-k verified answers + count-min warm "

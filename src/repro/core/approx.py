@@ -286,9 +286,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     def capabilities(self) -> AutomatonCapabilities:
         # One step = predecessor + successor over D_c: nominally 8
         # rank/select operations on B (see Lemma 2 machinery below).
-        return AutomatonCapabilities(
-            threshold=self._l, rank_ops_per_step=8, vectorized=True
-        )
+        return AutomatonCapabilities(threshold=self._l, rank_ops_per_step=8)
 
     # -- D_c machinery (paper Lemma 2 / Fact 1) ------------------------------
 

@@ -215,7 +215,7 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         # at both ends of the node range: two selects plus two ranks on S,
         # 4 logical operations (one bitvector op per level each).
         return AutomatonCapabilities(
-            lower_sided=True, threshold=self._l, rank_ops_per_step=4, vectorized=True
+            lower_sided=True, threshold=self._l, rank_ops_per_step=4
         )
 
     def _links_before_many(self, c: int, ks: np.ndarray) -> np.ndarray:

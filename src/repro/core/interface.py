@@ -73,18 +73,15 @@ class OccurrenceEstimator(abc.ABC):
     def count_many(self, patterns: "list[str] | tuple[str, ...]") -> list[int]:
         """Batch counting: one result per pattern, in order.
 
-        Routed through the engine's trie planner when the index exposes a
-        backward-search automaton (:mod:`repro.engine`), so patterns with
-        shared suffixes share work; otherwise falls back to per-pattern
-        :meth:`count`. Subclasses that intercept queries (e.g. the chaos
-        wrapper) may override this to keep per-call semantics.
+        Counted by the engine's :class:`~repro.engine.IndexCounter`: the
+        trie planner when the index exposes a backward-search automaton,
+        so patterns with shared suffixes share work, and per-pattern
+        :meth:`count` otherwise. Subclasses that intercept queries (e.g.
+        the chaos wrapper) may override this to keep per-call semantics.
         """
-        from ..engine import planner_for  # local: engine imports errors only
+        from ..engine import IndexCounter  # local: the engine imports this module
 
-        planner = planner_for(self)
-        if planner is None:
-            return [self.count(pattern) for pattern in patterns]
-        return planner.count_many(patterns)
+        return IndexCounter(self).count_many(patterns)
 
     @abc.abstractmethod
     def space_report(self) -> SpaceReport:

@@ -67,8 +67,8 @@ class _Attachment:
 
 def daemon_worker_main(conn: Connection, max_states: int) -> None:
     """Worker entry point (spawned; nothing inherited but the pipe)."""
-    from ..batch import SuffixSharingCounter
     from ..core.interface import ErrorModel
+    from ..engine import IndexCounter
     from ..parallel.pool import attach_shared_segment
     from ..service.deadline import Deadline
 
@@ -89,8 +89,7 @@ def daemon_worker_main(conn: Connection, max_states: int) -> None:
 
     def answer_many(attachment, patterns, remaining):
         # One shared sub-deadline for the whole batch; the counter's
-        # planner shares suffix work (vectorized waves where the index
-        # supports them) across the batch.
+        # planner shares suffix work across the batch.
         sub = None if remaining is None else Deadline(remaining)
         if attachment.lower_sided:
             return attachment.counter.count_or_none_many(patterns, sub)
@@ -132,9 +131,7 @@ def daemon_worker_main(conn: Connection, max_states: int) -> None:
                     attachments[gen] = _Attachment(
                         shm,
                         estimator,
-                        SuffixSharingCounter(
-                            estimator, max_states=max_states
-                        ),
+                        IndexCounter(estimator, max_states=max_states),
                         estimator.error_model is ErrorModel.LOWER_SIDED,
                     )
                     report = estimator.space_report()

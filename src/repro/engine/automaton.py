@@ -6,29 +6,18 @@ right-to-left scan — ``APX_l``'s sampled-BWT search (paper Section 4),
 RLFM baselines, and the labelled PST's inverse-suffix-link view — is the
 same *deterministic automaton over the reversed pattern*: the state after
 consuming ``P[i:]`` depends only on that suffix. This module makes that
-shared structure a first-class, typed protocol instead of a duck-typed
-``_automaton_*`` convention:
+shared structure a typed protocol:
 
 * :class:`BackwardSearchAutomaton` — the ABC indexes implement:
-  ``start(ch)``, ``step(state, ch)``, ``count_state(state)`` plus a
+  ``start(ch)``, ``step(state, ch)``, ``count_state(state)``, the bulk
+  ``step_many(states, ch)``, plus a
   :meth:`~BackwardSearchAutomaton.capabilities` descriptor stating what
   the final count means (exact / lower-sided / threshold) and the nominal
   rank cost per step.
 * :func:`automaton_of` — the adapter lookup replacing every ``hasattr``
-  feature probe: it resolves an index to its automaton via ``isinstance``,
-  the ``__engine_automaton__`` hook (used by wrappers such as
-  :class:`~repro.service.faults.FaultyIndex`), or — for third-party
-  indexes still exposing the deprecated underscore protocol — a
-  compatibility shim.
-
-Deprecation path
-----------------
-The private ``_automaton_start/_automaton_step/_automaton_count`` protocol
-is deprecated. :class:`BackwardSearchAutomaton` still *provides* those
-names as aliases so old callers keep working against new indexes, and
-:class:`LegacyProtocolAutomaton` adapts old indexes to new callers; both
-will be removed once nothing outside this module spells an underscore
-name. New code must use ``start``/``step``/``count_state``.
+  feature probe: it resolves an index to its automaton via the
+  ``__engine_automaton__`` hook (used by wrappers such as
+  :class:`~repro.service.faults.FaultyIndex`) or ``isinstance``.
 """
 
 from __future__ import annotations
@@ -38,9 +27,6 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-#: Attribute names of the deprecated duck-typed protocol.
-_LEGACY_NAMES = ("_automaton_start", "_automaton_step", "_automaton_count")
 
 #: Hook name wrappers implement to supply (or veto) an automaton.
 _HOOK = "__engine_automaton__"
@@ -65,18 +51,12 @@ class AutomatonCapabilities:
         :class:`~repro.engine.stats.EngineStats` uses to derive
         ``rank_calls`` from executed steps (0 for automata that navigate
         without rank structures, e.g. the pointer-based PST).
-    ``vectorized``
-        :meth:`~BackwardSearchAutomaton.step_many` advances a whole batch
-        of live states through bulk rank/select kernels instead of the
-        default scalar loop; the planner fires one wave per
-        (symbol, depth) frontier group when this is set.
     """
 
     exact: bool = False
     lower_sided: bool = False
     threshold: int = 1
     rank_ops_per_step: int = 0
-    vectorized: bool = False
 
 
 class BackwardSearchAutomaton(abc.ABC):
@@ -115,86 +95,28 @@ class BackwardSearchAutomaton(abc.ABC):
 
         Position ``j`` of the result is ``step(states[j], ch)``; callers
         never pass the dead state in. The default is the scalar loop, so
-        every automaton accepts bulk calls; implementations declaring
-        ``capabilities().vectorized`` override this with one pass of bulk
-        rank/select kernels (interval automata pack the batch into a
-        ``(k, 2)`` int64 matrix via :func:`pack_interval_states`).
+        every automaton accepts bulk calls; the index families override
+        this with one pass of bulk rank/select kernels (interval automata
+        pack the batch into a ``(k, 2)`` int64 matrix via
+        :func:`pack_interval_states`).
         """
         return [self.step(state, ch) for state in states]
-
-    # -- deprecated underscore aliases --------------------------------------
-    # Kept so callers of the pre-engine duck-typed protocol keep working
-    # against indexes that implement the ABC. Scheduled for removal; new
-    # code must call start/step/count_state.
-
-    def _automaton_start(self, ch: str) -> Optional[Hashable]:
-        """Deprecated alias of :meth:`start`."""
-        return self.start(ch)
-
-    def _automaton_step(self, state: Hashable, ch: str) -> Optional[Hashable]:
-        """Deprecated alias of :meth:`step`."""
-        return self.step(state, ch)
-
-    def _automaton_count(self, state: Optional[Hashable]) -> int:
-        """Deprecated alias of :meth:`count_state`."""
-        return self.count_state(state)
-
-
-class LegacyProtocolAutomaton(BackwardSearchAutomaton):
-    """Compatibility shim: adapt the deprecated ``_automaton_*`` duck-typed
-    protocol to the :class:`BackwardSearchAutomaton` interface.
-
-    Only :func:`automaton_of` constructs these, and only for indexes that
-    predate the engine layer (e.g. third-party estimators). Capabilities
-    are conservative: the shim cannot know whether the legacy count is
-    exact, so it declares neither exactness nor lower-sidedness unless the
-    wrapped index carries the standard markers (``error_model`` /
-    ``threshold``)."""
-
-    def __init__(self, index):
-        self._index = index
-
-    def start(self, ch: str) -> Optional[Hashable]:
-        return self._index._automaton_start(ch)
-
-    def step(self, state: Hashable, ch: str) -> Optional[Hashable]:
-        return self._index._automaton_step(state, ch)
-
-    def count_state(self, state: Optional[Hashable]) -> int:
-        return self._index._automaton_count(state)
-
-    def capabilities(self) -> AutomatonCapabilities:
-        model = getattr(self._index, "error_model", None)
-        value = getattr(model, "value", None)
-        return AutomatonCapabilities(
-            exact=value == "exact",
-            lower_sided=value == "lower_sided",
-            threshold=int(getattr(self._index, "threshold", 1)),
-        )
 
 
 def automaton_of(index) -> Optional[BackwardSearchAutomaton]:
     """Resolve an index to its backward-search automaton, or ``None``.
 
-    Resolution order:
-
-    1. the ``__engine_automaton__()`` hook, if the object defines one —
-       wrappers use it to instrument or veto the inner automaton;
-    2. ``isinstance(index, BackwardSearchAutomaton)`` — the index *is*
-       its own automaton (all engine-native indexes);
-    3. the deprecated underscore protocol, adapted through
-       :class:`LegacyProtocolAutomaton`.
-
-    ``None`` means the index has no automaton view; callers fall back to
-    per-pattern ``count``.
+    The ``__engine_automaton__()`` hook wins when the object defines one
+    (wrappers use it to instrument or veto the inner automaton);
+    otherwise an index that *is* a :class:`BackwardSearchAutomaton` is its
+    own automaton. ``None`` means the index has no automaton view, and
+    :class:`~repro.engine.counter.IndexCounter` counts it whole-pattern.
     """
     hook = getattr(type(index), _HOOK, None)
     if hook is not None:
         return hook(index)
     if isinstance(index, BackwardSearchAutomaton):
         return index
-    if all(hasattr(index, name) for name in _LEGACY_NAMES):
-        return LegacyProtocolAutomaton(index)
     return None
 
 

@@ -3,19 +3,17 @@
 Because an automaton state depends only on the pattern *suffix* consumed
 so far, a workload of patterns is really a **trie of reversed patterns**:
 two patterns sharing a suffix share a trie path, and each trie edge costs
-exactly one automaton step. :class:`TrieBatchPlanner` materialises that
-observation without building a trie: it sorts the distinct patterns by
-reversed string — which makes shared suffixes adjacent — and walks the
-virtual trie once with an explicit path stack, so every shared edge is
-stepped exactly once per batch.
+exactly one automaton step. :class:`TrieBatchPlanner` walks that virtual
+trie breadth-first without building it: the frontier grows one depth at
+a time, the batch's distinct unknown suffixes of that depth are grouped
+by the symbol they consume, and each group fires one ``step_many`` wave,
+so every shared edge is stepped exactly once per batch.
 
-The dead state (``None``) is absorbing, and both walks treat it so: a
-walk stops stepping, caching and slicing suffixes at its first dead
-suffix, and the vectorized walk grows its frontier one depth at a time
-from live suffixes only. A pattern therefore costs its *death depth* —
-the length of its shortest dead suffix — not its length: a 20,000-symbol
-probe that falls below a CPST's threshold after ten symbols takes ten
-steps and caches ten suffix keys of at most ten symbols.
+The dead state (``None``) is absorbing: a pattern leaves the frontier at
+its first dead suffix, so it costs its *death depth* — the length of its
+shortest dead suffix — not its length: a 20,000-symbol probe that falls
+below a CPST's threshold after ten symbols takes ten steps and caches ten
+suffix keys of at most ten symbols.
 
 Two caches back the walk, with deliberately different lifetimes:
 
@@ -27,17 +25,17 @@ Two caches back the walk, with deliberately different lifetimes:
   :meth:`clear` per workload to reset both.
 
 The planner owns the engine's single deadline code path: one cooperative
-:meth:`~repro.service.deadline.Deadline.check` per extension, so the
-serving layer, the selectivity estimators and ad-hoc batch callers all
-inherit the same tail-latency bound. Every unit of work is counted in an
+:meth:`~repro.service.deadline.Deadline.check` per wave, so the serving
+layer, the selectivity estimators and ad-hoc batch callers all inherit
+the same tail-latency bound. Every unit of work is counted in an
 :class:`~repro.engine.stats.EngineStats` instance (:attr:`stats`).
 
 Thread-safety contract
 ----------------------
 Every public method of :class:`TrieBatchPlanner` serialises on one
 internal re-entrant lock: concurrent callers over a *shared* planner are
-correct but run one at a time (the path stack, the LRU order and the
-stats counters are all mutated during a walk, and interleaving them would
+correct but run one at a time (the frontier, the LRU order and the stats
+counters are all mutated during a walk, and interleaving them would
 corrupt the trie traversal). Parallelism in the serving layer therefore
 comes from *distinct* planners — one per tier — with per-tier bulkheads
 bounding how many callers contend for each lock. The wrapped automaton is
@@ -52,35 +50,20 @@ from collections import Counter, OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set
 
 from ..errors import DeadlineExceededError, InvalidParameterError, PatternError
-from .automaton import BackwardSearchAutomaton
+from .automaton import BackwardSearchAutomaton, automaton_of
 from .stats import EngineStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (service imports engine)
     from ..service.deadline import Deadline
 
-#: Process-wide default for the ``vectorize`` planner knob. Flipped by the
-#: CLI's ``--no-vectorize`` so every planner built downstream (tiers,
-#: ladders, shard slots) inherits the scalar path without re-plumbing.
-_DEFAULT_VECTORIZE = True
-
-
-def set_default_vectorize(enabled: bool) -> None:
-    """Set the process-wide default for planner vectorization."""
-    global _DEFAULT_VECTORIZE
-    _DEFAULT_VECTORIZE = bool(enabled)
-
-
-def default_vectorize() -> bool:
-    """Current process-wide default for planner vectorization."""
-    return _DEFAULT_VECTORIZE
-
-
 #: Below this wave width the fixed per-call overhead of a ``step_many``
 #: kernel (array packing, masked gathers) outweighs the per-state saving,
-#: so narrow waves are stepped scalarly even on the vectorized path. The
-#: crossover sits in the mid-teens for every index family (see
+#: so narrower waves are stepped one state at a time. The crossover sits
+#: in the mid-teens for every index family (see
 #: benchmarks/test_engine_bench.py); answers are identical either way.
-DEFAULT_WAVE_WIDTH_MIN = 16
+#: Read on every wave, so a test can patch it to 1 to push every wave
+#: through ``step_many``.
+WAVE_WIDTH_MIN = 16
 
 
 class TrieBatchPlanner:
@@ -88,9 +71,7 @@ class TrieBatchPlanner:
 
     ``max_states`` bounds the state cache (LRU); ``None`` means unbounded.
     ``stats`` lets callers share one counter across planners; by default
-    each planner owns a fresh :class:`EngineStats`. ``wave_width_min``
-    tunes the vectorized path's scalar fallback for narrow waves
-    (``1`` forces every wave through ``step_many``).
+    each planner owns a fresh :class:`EngineStats`.
     """
 
     def __init__(
@@ -99,8 +80,6 @@ class TrieBatchPlanner:
         *,
         max_states: Optional[int] = 4096,
         stats: Optional[EngineStats] = None,
-        vectorize: Optional[bool] = None,
-        wave_width_min: int = DEFAULT_WAVE_WIDTH_MIN,
     ):
         if not isinstance(automaton, BackwardSearchAutomaton):
             raise InvalidParameterError(
@@ -109,13 +88,9 @@ class TrieBatchPlanner:
             )
         if max_states is not None and max_states < 1:
             raise InvalidParameterError("max_states must be positive")
-        if wave_width_min < 1:
-            raise InvalidParameterError("wave_width_min must be positive")
         self._automaton = automaton
         self._caps = automaton.capabilities()
         self._max_states = max_states
-        self._vectorize = _DEFAULT_VECTORIZE if vectorize is None else bool(vectorize)
-        self._wave_width_min = wave_width_min
         self._lock = threading.RLock()
         #: suffix string -> automaton state (None = dead), LRU order.
         self._states: "OrderedDict[str, Optional[Hashable]]" = OrderedDict()
@@ -134,12 +109,6 @@ class TrieBatchPlanner:
     def capabilities(self):
         """The automaton's :class:`AutomatonCapabilities` descriptor."""
         return self._caps
-
-    @property
-    def vectorized(self) -> bool:
-        """True when batches run through ``step_many`` waves (requires the
-        knob *and* the automaton's ``vectorized`` capability)."""
-        return self._vectorize and self._caps.vectorized
 
     def clear(self) -> None:
         """Drop both caches (states *and* memoised results)."""
@@ -194,82 +163,28 @@ class TrieBatchPlanner:
     def _values_many(
         self, patterns: Sequence[str], deadline: "Deadline | None"
     ) -> List[Optional[int]]:
+        """Walk the virtual trie of the unanswered patterns; read every
+        answer from the result memo.
+
+        Every walking pattern looks up its suffix of the new depth, the
+        batch's distinct unknown suffixes are grouped by the symbol they
+        consume, and each group fires one wave. LRU accounting: a pattern
+        probes the cache only until its first miss, and never for a
+        suffix an earlier pattern of the batch already resolved; one
+        insert per stepped suffix.
+        """
         for pattern in patterns:
             if not isinstance(pattern, str) or not pattern:
                 raise PatternError("pattern must be a non-empty string")
-        if self.vectorized:
-            self._execute_waves(patterns, deadline)
-        else:
-            self._execute_scalar(patterns, deadline)
-        return [self._results[pattern] for pattern in patterns]
-
-    def _unanswered(self, patterns: Sequence[str]) -> List[str]:
-        """The distinct patterns without a memoised result, in
-        reverse-lexicographic order: shared suffixes sit on adjacent
-        patterns, so the virtual trie is walked in one pass."""
         distinct = set(patterns)
-        todo = [pattern for pattern in distinct if pattern not in self._results]
+        # Reverse-lexicographic order keeps shared suffixes adjacent.
+        walking = sorted(
+            (pattern for pattern in distinct if pattern not in self._results),
+            key=lambda p: p[::-1],
+        )
         self.stats.patterns += len(distinct)
-        self.stats.result_cache_hits += len(distinct) - len(todo)
-        todo.sort(key=lambda p: p[::-1])
-        return todo
-
-    def _execute_scalar(
-        self, patterns: Sequence[str], deadline: "Deadline | None"
-    ) -> None:
-        # States along the current path; only the last one can be dead.
-        stack: List[Optional[Hashable]] = []
-        stack_rev = ""  # reversed prefix the stack currently spells
-        for pattern in self._unanswered(patterns):
-            rev = pattern[::-1]
-            n = len(rev)
-            depth = _common_prefix_length(rev, stack_rev)
-            del stack[depth:]
-            # Prefer deeper states remembered from earlier batches. A dead
-            # state, shared or remembered, ends the walk: dead is absorbing.
-            while depth < n and (depth == 0 or stack[-1] is not None):
-                cached = self._lookup_state(pattern[n - depth - 1 :])
-                if cached is _MISS:
-                    break
-                stack.append(cached)
-                depth += 1
-            while depth < n and (depth == 0 or stack[-1] is not None):
-                if deadline is not None:
-                    self._check_deadline(deadline)
-                if depth == 0:
-                    state = self._automaton.start(rev[0])
-                    self.stats.automaton_starts += 1
-                else:
-                    state = self._automaton.step(stack[-1], rev[depth])
-                    self.stats.automaton_steps += 1
-                self.stats.rank_calls += self._caps.rank_ops_per_step
-                stack.append(state)
-                self._remember_state(pattern[n - depth - 1 :], state)
-                depth += 1
-            stack_rev = rev[:depth]
-            state = stack[-1]
-            self._results[pattern] = (
-                None if state is None else self._automaton.count_state(state)
-            )
-
-    def _execute_waves(
-        self, patterns: Sequence[str], deadline: "Deadline | None"
-    ) -> None:
-        """Breadth-first variant of the trie walk for vectorized automata.
-
-        The frontier grows one depth per iteration from the suffixes that
-        are still live: every walking pattern looks up its suffix of the
-        new depth, the batch's distinct unknown suffixes are grouped by the
-        symbol they consume, and each group fires one ``step_many`` wave.
-        A pattern leaves the frontier at its first dead suffix (or its full
-        length), so it costs its death depth, never its length. Answers,
-        LRU accounting (a pattern probes the cache only until its first
-        miss, and never for a suffix an earlier pattern of the batch
-        already resolved; one insert per stepped suffix) and the per-wave
-        deadline check all mirror the scalar walk.
-        """
+        self.stats.result_cache_hits += len(distinct) - len(walking)
         pending: Dict[str, Optional[Hashable]] = {}  # batch-local suffix states
-        walking = self._unanswered(patterns)
         probing = set(walking)  # patterns that have not missed the cache yet
         depth = 0
         while walking:
@@ -300,6 +215,7 @@ class TrieBatchPlanner:
                         None if state is None else self._automaton.count_state(state)
                     )
             walking = still
+        return [self._results[pattern] for pattern in patterns]
 
     def _run_wave(
         self,
@@ -321,9 +237,9 @@ class TrieBatchPlanner:
         else:
             parents = [pending[suffix[1:]] for suffix in members]
             width = len(parents)
-            if width < self._wave_width_min:
+            if width < WAVE_WIDTH_MIN:
                 # Too narrow to amortise the bulk kernel's fixed cost:
-                # step scalarly (identical answers, plain step stats).
+                # step one state at a time (plain step stats).
                 stepped = [self._automaton.step(parent, ch) for parent in parents]
             else:
                 stepped = self._automaton.step_many(parents, ch)
@@ -368,18 +284,8 @@ class TrieBatchPlanner:
 _MISS = object()
 
 
-def _common_prefix_length(a: str, b: str) -> int:
-    limit = min(len(a), len(b))
-    k = 0
-    while k < limit and a[k] == b[k]:
-        k += 1
-    return k
-
-
 def planner_for(index, **kwargs) -> Optional[TrieBatchPlanner]:
     """A planner for ``index``'s automaton, or ``None`` if it has none."""
-    from .automaton import automaton_of
-
     automaton = automaton_of(index)
     if automaton is None:
         return None

@@ -50,12 +50,12 @@ class EngineStats:
     deadline_aborts:
         Searches abandoned because the deadline expired mid-walk.
     bulk_calls:
-        ``step_many`` waves fired by the vectorized planner (one per
-        (symbol, depth) frontier group with at least one live state).
+        ``step_many`` waves fired by the planner (one per (symbol, depth)
+        frontier group at least ``WAVE_WIDTH_MIN`` states wide).
     bulk_states:
         Live states advanced across all ``step_many`` waves;
         ``bulk_states / bulk_calls`` is the mean wave width, the lever
-        the vectorized engine's throughput comes from.
+        the engine's batch throughput comes from.
     """
 
     patterns: int = 0

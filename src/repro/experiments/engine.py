@@ -10,12 +10,11 @@ engine-capable index (FM, APX, CPST), using
 
 * **naive** — a fresh planner per pattern (no state reuse across
   patterns): exactly the work ``index.count`` performs per query;
-* **planned** — one planner over the whole workload, shared-suffix trie
-  walk plus the LRU state cache, measured twice: on the **scalar** path
-  (one ``step`` per extension) and on the **vectorized** path (one
-  ``step_many`` wave per (symbol, depth) frontier group).
+* **planned** — one :class:`~repro.engine.IndexCounter` over the whole
+  workload: the shared-suffix trie walk (one ``step_many`` wave per
+  (symbol, depth) frontier group) plus the LRU state cache.
 
-All paths must produce identical counts — the planner is an execution
+Both paths must produce identical counts — the planner is an execution
 strategy, not an approximation — which the ``results_identical`` headline
 check enforces.
 """
@@ -26,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..engine import EngineStats, TrieBatchPlanner, automaton_of
+from ..engine import EngineStats, IndexCounter, TrieBatchPlanner
 from ..datasets import dataset_names
 from .common import CorpusContext
 from .tables import format_table
@@ -47,9 +46,8 @@ class EngineRow:
     results_identical: bool
     #: Wall-clock seconds (0.0 on rows from older callers that skip timing).
     naive_seconds: float = 0.0
-    scalar_seconds: float = 0.0
-    vectorized_seconds: float = 0.0
-    #: Wave telemetry from the vectorized run.
+    planned_seconds: float = 0.0
+    #: Wave telemetry from the planned run.
     bulk_waves: int = 0
     bulk_states: int = 0
 
@@ -61,18 +59,12 @@ class EngineRow:
         return 1.0 - self.planned_steps / self.naive_steps
 
     @property
-    def vectorized_speedup(self) -> float:
-        """Scalar-planned over vectorized wall clock (1.0 when untimed)."""
-        if self.scalar_seconds <= 0 or self.vectorized_seconds <= 0:
-            return 1.0
-        return self.scalar_seconds / self.vectorized_seconds
-
-    @property
     def batch_speedup(self) -> float:
-        """Naive per-pattern over vectorized batch wall clock."""
-        if self.naive_seconds <= 0 or self.vectorized_seconds <= 0:
+        """Naive per-pattern over planned batch wall clock (1.0 when
+        untimed)."""
+        if self.naive_seconds <= 0 or self.planned_seconds <= 0:
             return 1.0
-        return self.naive_seconds / self.vectorized_seconds
+        return self.naive_seconds / self.planned_seconds
 
 
 def _extensions(stats: EngineStats) -> int:
@@ -84,8 +76,9 @@ def measure(
     index, patterns: Sequence[str], dataset: str, label: str
 ) -> EngineRow:
     """Run one workload both ways and report the engine work of each."""
-    automaton = automaton_of(index)
-    assert automaton is not None, f"{label} has no automaton view"
+    counter = IndexCounter(index)
+    assert counter.planner is not None, f"{label} has no automaton view"
+    automaton = counter.planner.automaton
     naive_stats = EngineStats()
     naive_results = []
     started = time.perf_counter()
@@ -96,31 +89,24 @@ def measure(
             TrieBatchPlanner(automaton, stats=naive_stats).count(pattern)
         )
     naive_seconds = time.perf_counter() - started
-    scalar = TrieBatchPlanner(automaton, vectorize=False)
     started = time.perf_counter()
-    scalar_results = scalar.count_many(list(patterns))
-    scalar_seconds = time.perf_counter() - started
-    planner = TrieBatchPlanner(automaton, vectorize=True)
-    started = time.perf_counter()
-    planned_results = planner.count_many(list(patterns))
-    vectorized_seconds = time.perf_counter() - started
+    planned_results = counter.count_many(list(patterns))
+    planned_seconds = time.perf_counter() - started
+    planned = counter.stats
     return EngineRow(
         dataset=dataset,
         index=label,
         patterns=len(patterns),
         naive_steps=_extensions(naive_stats),
-        planned_steps=_extensions(planner.stats),
+        planned_steps=_extensions(planned),
         naive_rank_ops=naive_stats.rank_calls,
-        planned_rank_ops=planner.stats.rank_calls,
-        state_cache_hits=planner.stats.state_cache_hits,
-        results_identical=(
-            naive_results == planned_results == scalar_results
-        ),
+        planned_rank_ops=planned.rank_calls,
+        state_cache_hits=planned.state_cache_hits,
+        results_identical=naive_results == planned_results,
         naive_seconds=naive_seconds,
-        scalar_seconds=scalar_seconds,
-        vectorized_seconds=vectorized_seconds,
-        bulk_waves=planner.stats.bulk_calls,
-        bulk_states=planner.stats.bulk_states,
+        planned_seconds=planned_seconds,
+        bulk_waves=planned.bulk_calls,
+        bulk_states=planned.bulk_states,
     )
 
 

@@ -15,8 +15,8 @@ merge policies:
 * the sharded CPST must certify (via ``count_or_none``) only true
   counts — document-aligned partitioning is exactness-preserving;
 * the engine path (the product automaton behind
-  :class:`~repro.batch.SuffixSharingCounter`) must agree with the
-  fan-out path answer for answer.
+  :class:`~repro.engine.IndexCounter`) must agree with the fan-out path
+  answer for answer.
 
 Patterns containing the row separator are excluded: they straddle
 document boundaries, where the sharded and monolithic concatenations
@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..batch import SuffixSharingCounter
 from ..datasets import dataset_names, generate
+from ..engine import IndexCounter
 from ..shard import MergePolicy, ShardPlan, build_sharded
 from ..textutil import ROW_SEPARATOR, Text, mixed_workload
 from .tables import format_table
@@ -89,7 +89,7 @@ def run(
                 apx, report = build_sharded(plan, "apx", l, policy=policy)
                 cpst, _ = build_sharded(plan, "cpst", l, policy=policy)
                 fanout = [apx.count(pattern) for pattern in patterns]
-                engine = SuffixSharingCounter(apx).count_many(patterns)
+                engine = IndexCounter(apx).count_many(patterns)
                 errors = [
                     abs(count - truths[pattern])
                     for pattern, count in zip(patterns, fanout)

@@ -5,7 +5,9 @@ index that (a) answers exactly for patterns occurring at least ``l`` times
 and (b) detects the below-threshold case — both provided by
 :class:`~repro.core.cpst.CompactPrunedSuffixTree` and the classical
 :class:`~repro.baselines.pst.PrunedSuffixTree` via ``count_or_none``.
-An exact index (FM-index) also works: every count is "known".
+An exact index (FM-index) also works: every count is "known". An index
+that can certify neither way (``APX_l``'s uniform-error counts) is
+refused.
 
 Counts are normalised to probabilities by ``N = n`` (substring positions);
 below-threshold fragments fall back to an expected count of ``(l-1)/2``
@@ -16,83 +18,42 @@ modelling choice the paper leaves to the estimation layer.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from ..engine import EngineStats, TrieBatchPlanner, automaton_of
+from ..engine import EngineStats, IndexCounter
 from ..errors import InvalidParameterError, PatternError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.deadline import Deadline
 
 
-@runtime_checkable
-class LowerSidedIndex(Protocol):
-    """Structural type of the indexes the estimators accept."""
-
-    threshold: int
-
-    def count_or_none(self, pattern: str) -> Optional[int]: ...
-
-    @property
-    def text_length(self) -> int: ...
-
-
-class _ExactAdapter:
-    """Wrap an exact index (e.g. FM-index) as a lower-sided oracle."""
-
-    def __init__(self, index):
-        self._index = index
-
-    @property
-    def threshold(self) -> int:
-        return 1
-
-    @property
-    def text_length(self) -> int:
-        return self._index.text_length
-
-    def count_or_none(self, pattern: str) -> Optional[int]:
-        return self._index.count(pattern)
-
-
 class CountOracle:
-    """Memoising facade over a lower-sided index.
+    """Certified counts of one index, through the engine's
+    :class:`~repro.engine.IndexCounter`.
 
     ``known(s)`` returns the exact count of ``s`` or ``None`` when the
     index cannot certify it; ``longest_known(pattern, start)`` exploits the
     monotonicity of counts under extension (``Count(xs) <= Count(x)``, so
-    "known" is prefix-closed) with a binary search over lengths.
+    "known" is prefix-closed) with a binary search over lengths. The
+    counter walks the trie planner where the index has an automaton, so
+    the O(p^2) lattice fragments of an estimate share their suffix work
+    and the planner memoises the answers. An index the counter cannot
+    certify through (neither lower-sided nor exact) is refused.
     """
 
     def __init__(self, index):
-        # Estimator workloads hammer overlapping substrings of each
-        # pattern; when the index has a backward-search automaton view
-        # (repro.engine), probe it through one trie planner so the O(p^2)
-        # lattice fragments share their suffix work.
-        automaton = automaton_of(index)
-        capabilities = automaton.capabilities() if automaton is not None else None
-        self._planner: Optional[TrieBatchPlanner] = None
-        self._exact = False
-        if capabilities is not None and (
-            capabilities.exact or capabilities.lower_sided
-        ):
-            self._planner = TrieBatchPlanner(automaton)
-            self._exact = capabilities.exact
-        elif not hasattr(index, "count_or_none"):
-            if hasattr(index, "count"):
-                index = _ExactAdapter(index)
-                self._exact = True
-            else:
-                raise InvalidParameterError(
-                    "selectivity estimation requires an index with "
-                    "count_or_none (CPST / PST) or count (exact)"
-                )
+        self._counter = IndexCounter(index)
+        if not self._counter.certifies:
+            raise InvalidParameterError(
+                "selectivity estimation requires an index that certifies "
+                f"counts (lower-sided or exact); {type(index).__name__} "
+                "does not"
+            )
         self._index = index
-        self._cache: dict[str, Optional[int]] = {}
 
     @property
     def threshold(self) -> int:
-        return 1 if self._exact else self._index.threshold
+        return self._index.threshold
 
     @property
     def text_length(self) -> int:
@@ -100,26 +61,14 @@ class CountOracle:
 
     @property
     def stats(self) -> EngineStats:
-        """Engine work counters for the probes issued through this oracle
-        (all zeros on the non-automaton fallback path)."""
-        if self._planner is not None:
-            return self._planner.stats
-        return EngineStats()
+        """Engine work counters for the probes issued through this oracle."""
+        return self._counter.stats
 
     def known(
         self, fragment: str, deadline: "Deadline | None" = None
     ) -> Optional[int]:
         """Exact count of ``fragment`` when certified, else ``None``."""
-        if self._planner is not None:
-            if self._exact:
-                return self._planner.count(fragment, deadline)
-            return self._planner.count_or_none(fragment, deadline)
-        cached = self._cache.get(fragment)
-        if fragment in self._cache:
-            return cached
-        result = self._index.count_or_none(fragment)
-        self._cache[fragment] = result
-        return result
+        return self._counter.count_or_none(fragment, deadline)
 
     def prime(
         self, fragments: Iterable[str], deadline: "Deadline | None" = None
@@ -134,13 +83,11 @@ class CountOracle:
         again.
         """
         fragments = [f for f in fragments if isinstance(f, str) and f]
-        if self._planner is not None and fragments:
-            if self._exact:
-                values = self._planner.count_many(fragments, deadline)
-            else:
-                values = self._planner.count_or_none_many(fragments, deadline)
-            return dict(zip(fragments, values))
-        return {fragment: self.known(fragment, deadline) for fragment in fragments}
+        if not fragments:
+            return {}
+        return dict(
+            zip(fragments, self._counter.count_or_none_many(fragments, deadline))
+        )
 
     def longest_known(self, pattern: str, start: int) -> int:
         """Length of the longest known fragment ``pattern[start:start+len]``

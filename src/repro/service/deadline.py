@@ -1,8 +1,8 @@
 """Cooperative wall-clock deadlines with an injectable clock.
 
 A :class:`Deadline` is a cheap value object threaded through the query
-path: long loops (the backward search in
-:class:`~repro.batch.SuffixSharingCounter`, retry loops in
+path: long loops (the trie walk in
+:class:`~repro.engine.planner.TrieBatchPlanner`, retry loops in
 :class:`~repro.service.resilient.ResilientEstimator`) call
 :meth:`Deadline.check` at natural yield points and abort with
 :class:`~repro.errors.DeadlineExceededError` once the budget is spent.

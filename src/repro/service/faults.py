@@ -28,19 +28,21 @@ site                 instrumented operation
 ``automaton_step``   ``BackwardSearchAutomaton.step(state, ch)``
 ``automaton_step_many`` ``BackwardSearchAutomaton.step_many(states, ch)``
                      (fires per bulk wave, then per-state via the
-                     ``automaton_step`` rate, so scalar and vectorized
-                     planner paths face the same chaos)
+                     ``automaton_step`` rate, so bulk waves and narrow
+                     waves stepped one state at a time face the same
+                     chaos)
 ``automaton_count``  ``BackwardSearchAutomaton.count_state(state)``
                      (corruptible: the one automaton site returning a
                      count)
 ==================== ====================================================
 
-The three ``automaton_*`` sites fire *mid-search* — the engine's
+The ``automaton_*`` sites fire *mid-search* — the engine's
 :class:`~repro.engine.planner.TrieBatchPlanner` drives the wrapped
-automaton one extension at a time — not just at the call boundary.
+automaton one wave at a time — not just at the call boundary.
 :class:`FaultyIndex` supplies its instrumented automaton through the
-``__engine_automaton__`` hook, so every engine consumer (batch API,
-serving tiers, selectivity oracles) sees the faults without any
+``__engine_automaton__`` hook, so every engine consumer (the
+:class:`~repro.engine.IndexCounter` behind the serving tiers and the
+selectivity oracles, batch callers) sees the faults without any
 feature-probing of the wrapper.
 """
 
@@ -555,8 +557,8 @@ class _FaultyAutomaton(BackwardSearchAutomaton):
 
     def step_many(self, states, ch):
         # One roll for the bulk wave, then one per state at the scalar
-        # step rate: a vectorized search faces the same expected fault
-        # pressure per state as the scalar walk it replaces.
+        # step rate: a bulk wave faces the same expected fault pressure
+        # per state as stepping its states one at a time.
         self._owner._roll("automaton_step_many")
         for _ in states:
             self._owner._roll("automaton_step")

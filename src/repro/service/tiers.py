@@ -2,7 +2,7 @@
 
 A :class:`Tier` binds one :class:`~repro.core.interface.OccurrenceEstimator`
 into the degradation ladder: a stable name, a
-:class:`~repro.batch.SuffixSharingCounter` for deadline-aware counting, an
+:class:`~repro.engine.IndexCounter` for deadline-aware counting, an
 optional *certified-only* mode (serve only answers the index certifies as
 exact, decline the rest down the ladder), and a slot for the tier's
 circuit breaker.
@@ -22,9 +22,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..batch import SuffixSharingCounter
 from ..bits import bits_needed
 from ..core.interface import ErrorModel, OccurrenceEstimator
+from ..engine import IndexCounter
 from ..errors import IndexCorruptedError
 from ..space import SpaceReport
 from ..textutil import Alphabet, Text
@@ -146,7 +146,7 @@ class Tier:
         self._lock = threading.RLock()
         self._quarantined = False
         self._quarantine_reason = ""
-        self._counter = SuffixSharingCounter(estimator, max_states=max_states)
+        self._counter = IndexCounter(estimator, max_states=max_states)
 
     @property
     def quarantined(self) -> bool:
@@ -178,9 +178,7 @@ class Tier:
         """
         with self._lock:
             self.estimator = estimator
-            self._counter = SuffixSharingCounter(
-                estimator, max_states=self._max_states
-            )
+            self._counter = IndexCounter(estimator, max_states=self._max_states)
 
     @property
     def engine_stats(self):

@@ -11,8 +11,7 @@ search gets the caller's own :class:`~repro.service.deadline.Deadline`.
 Two execution strategies produce identical scalars:
 
 * the **fan-out path** (:meth:`ShardedEstimator.merged_count`) — the
-  loop, with per-shard :class:`~repro.batch.SuffixSharingCounter`
-  memoisation;
+  loop, with a per-shard :class:`~repro.engine.IndexCounter`;
 * the **engine path** — :class:`ShardedAutomaton`, the product of the
   per-shard backward-search automata, exposed through the
   ``__engine_automaton__`` hook so
@@ -43,9 +42,8 @@ from typing import (
     Tuple,
 )
 
-from ..batch import SuffixSharingCounter
 from ..core.interface import ErrorModel, OccurrenceEstimator
-from ..engine import BackwardSearchAutomaton, automaton_of
+from ..engine import BackwardSearchAutomaton, IndexCounter, automaton_of
 from ..engine.automaton import AutomatonCapabilities
 from ..errors import InvalidParameterError
 from ..service.deadline import Deadline
@@ -84,7 +82,7 @@ class _ShardSlot(Slot):
         self.estimator = estimator
         self.text = text
         self.builder = builder
-        self.counter = SuffixSharingCounter(estimator, max_states=max_states)
+        self.counter = IndexCounter(estimator, max_states=max_states)
 
     @property
     def model(self) -> ErrorModel:
@@ -216,9 +214,7 @@ class ShardedEstimator(ShardFanOut):
         with self._lock:
             slot = self._slot(name)
             slot.estimator = estimator
-            slot.counter = SuffixSharingCounter(
-                estimator, max_states=self._max_states
-            )
+            slot.counter = IndexCounter(estimator, max_states=self._max_states)
             self._alphabet = None
 
     def rebuild_shard(self, name: str) -> float:
@@ -394,8 +390,7 @@ class ShardedAutomaton(BackwardSearchAutomaton):
     def step_many(self, states, ch):
         """Bulk product step: decompose the batch into per-shard state
         columns, advance each column's live states through the inner
-        automaton's ``step_many`` (vectorized where the shard supports it,
-        the scalar default loop otherwise), and reassemble."""
+        automaton's ``step_many``, and reassemble."""
         k = len(states)
         depths = [state[0] for state in states]
         columns: List[List[object]] = []
@@ -477,13 +472,6 @@ class ShardedAutomaton(BackwardSearchAutomaton):
             for automaton in self._automata
             if automaton is not None
         )
-        # The product is worth bulk-stepping as soon as one live shard
-        # vectorizes; non-vectorized components fall back to the ABC's
-        # scalar loop inside their column.
-        vectorized = any(
-            automaton is not None and automaton.capabilities().vectorized
-            for automaton in self._automata
-        )
         return AutomatonCapabilities(
             exact=exact,
             lower_sided=False,
@@ -491,5 +479,4 @@ class ShardedAutomaton(BackwardSearchAutomaton):
                 [slot.estimator.threshold for slot in self._slots]
             ),
             rank_ops_per_step=rank_ops,
-            vectorized=vectorized,
         )

@@ -1,4 +1,6 @@
-"""Tests for suffix-sharing batch counting."""
+"""Tests for suffix-sharing batch counting through the engine's
+:class:`~repro.engine.IndexCounter` (the planner side; the whole-pattern
+side is covered in ``test_engine.py``)."""
 
 from __future__ import annotations
 
@@ -9,8 +11,9 @@ from repro import (
     CompactPrunedSuffixTree,
     FMIndex,
     PrunedSuffixTree,
+    QGramIndex,
 )
-from repro.batch import SuffixSharingCounter
+from repro.engine import IndexCounter
 from repro.errors import PatternError
 from repro.textutil import Text, mixed_workload
 
@@ -25,10 +28,10 @@ def wrapped(request):
         "fm": lambda: FMIndex(TEXT),
         "apx": lambda: ApproxIndex(TEXT, 8),
         "cpst": lambda: CompactPrunedSuffixTree(TEXT, 8),
-        "pst": lambda: PrunedSuffixTree(TEXT, 8),  # no automaton: fallback path
+        "pst": lambda: PrunedSuffixTree(TEXT, 8),
     }
     index = indexes[request.param]()
-    return index, SuffixSharingCounter(index)
+    return index, IndexCounter(index)
 
 
 class TestSuffixSharingCounter:
@@ -44,17 +47,17 @@ class TestSuffixSharingCounter:
 
     def test_shared_suffixes_share_states(self):
         index = FMIndex(TEXT)
-        counter = SuffixSharingCounter(index)
+        counter = IndexCounter(index)
         counter.count("the cat")
-        states_before = len(counter._states)
+        states_before = len(counter.planner._states)
         counter.count("e cat")  # proper suffix: fully cached already
-        assert len(counter._states) == states_before
+        assert len(counter.planner._states) == states_before
 
     def test_overlapping_batch_is_cheap(self):
         """All substrings of one string need only O(p^2) automaton steps
         in total (each suffix extended once)."""
         index = FMIndex(TEXT)
-        counter = SuffixSharingCounter(index)
+        counter = IndexCounter(index)
         base = "the cat sat"
         patterns = [
             base[i:j]
@@ -65,13 +68,13 @@ class TestSuffixSharingCounter:
         assert results == [index.count(p) for p in patterns]
         # distinct suffixes of distinct... states keyed by suffix of some
         # pattern: bounded by #distinct substrings.
-        assert len(counter._states) <= len(set(patterns))
+        assert len(counter.planner._states) <= len(set(patterns))
 
     def test_clear(self, wrapped):
         _, counter = wrapped
         counter.count("the")
         counter.clear()
-        assert not counter._results and not counter._states
+        assert not counter.planner._results and not counter.planner._states
 
     def test_empty_pattern_rejected(self, wrapped):
         _, counter = wrapped
@@ -88,16 +91,16 @@ class TestBoundedCache:
         from repro.textutil import zipf_workload
 
         index = FMIndex(TEXT)
-        bounded = SuffixSharingCounter(index, max_states=32)
+        bounded = IndexCounter(index, max_states=32)
         workload = zipf_workload(TEXT, num_queries=120, distinct=30, seed=4)
         assert bounded.count_many(workload) == [index.count(p) for p in workload]
-        assert len(bounded._states) <= 32 + max(len(p) for p in workload)
+        assert len(bounded.planner._states) <= 32 + max(len(p) for p in workload)
 
     def test_invalid_bound(self):
         from repro.errors import InvalidParameterError
 
         with pytest.raises(InvalidParameterError):
-            SuffixSharingCounter(FMIndex(TEXT), max_states=0)
+            IndexCounter(FMIndex(TEXT), max_states=0)
 
 
 class TestZipfWorkload:
@@ -131,17 +134,19 @@ class TestZipfWorkload:
 class TestCountOrNoneSharing:
     def test_matches_cpst_semantics(self):
         index = CompactPrunedSuffixTree(TEXT, 8)
-        counter = SuffixSharingCounter(index)
+        counter = IndexCounter(index)
         for pattern in mixed_workload(TEXT, lengths=(1, 3, 6), per_length=10):
             assert counter.count_or_none(pattern) == index.count_or_none(pattern)
 
     def test_requires_lower_sided(self):
-        counter = SuffixSharingCounter(FMIndex(TEXT))
-        with pytest.raises(PatternError):
-            counter.count_or_none("the")
+        # An exact index certifies every count through the planner.
+        index = FMIndex(TEXT)
+        counter = IndexCounter(index)
+        assert counter.count_or_none("the") == index.count("the")
 
     def test_fallback_without_automaton(self):
-        index = PrunedSuffixTree(TEXT, 8)
-        counter = SuffixSharingCounter(index)
+        index = QGramIndex(TEXT, q=4)
+        counter = IndexCounter(index)
+        assert counter.planner is None
         assert counter.count_or_none("the") == index.count_or_none("the")
-        assert counter.count_or_none("zzz") is None
+        assert counter.count_or_none("the cat") is None

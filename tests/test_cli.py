@@ -38,26 +38,15 @@ class TestCount:
         assert main(["count", "/no/such/file", "x"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_no_vectorize_matches_vectorized_counts(self, capsys):
-        import json
-
-        runs = {}
-        for flag in ([], ["--no-vectorize"]):
-            out = run_cli(
-                capsys, "count", "dna", "--size", "2000", "--index", "fm",
-                "--json", "--engine-stats", *flag, "ACG", "GT", "TTT",
-            )
-            runs[bool(flag)] = json.loads(out)
-        assert runs[True]["counts"] == runs[False]["counts"]
-        # The scalar path must never fire a bulk wave.
-        assert runs[True]["engine"]["bulk_calls"] == 0
-
     def test_no_vectorize_rejected_without_automaton(self, capsys):
-        assert main([
-            "count", "dna", "--size", "2000", "--index", "qgram",
-            "--no-vectorize", "AC",
-        ]) == 1
-        assert "error:" in capsys.readouterr().err
+        # The planner has one walk, so there is no flag to choose another.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "count", "dna", "--size", "2000", "--index", "qgram",
+                "--no-vectorize", "AC",
+            ])
+        assert exit_info.value.code == 2
+        assert "--no-vectorize" in capsys.readouterr().err
 
 
 class TestBuildAndQuery:
@@ -119,26 +108,15 @@ class TestProcessCli:
         assert "error:" in capsys.readouterr().err
 
     def test_processes_reject_no_vectorize(self, capsys):
-        # Worker processes are spawned fresh and would silently ignore
-        # the process-global scalar override.
-        assert main([
-            "serve-check", "dna", "--size", "2000",
-            "--l", "8", "--processes", "2", "--no-vectorize",
-        ]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_serve_check_no_vectorize_passes_in_process(self, capsys):
-        from repro.engine import default_vectorize, set_default_vectorize
-
-        try:
-            out = run_cli(
-                capsys, "serve-check", "dna", "--size", "2000",
-                "--l", "8", "--no-vectorize",
-            )
-            assert "serve-check PASS" in out
-            assert not default_vectorize()  # the scalar override really engaged
-        finally:
-            set_default_vectorize(True)
+        # serve-check has no scalar-walk flag, in process or across
+        # worker processes.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve-check", "dna", "--size", "2000",
+                "--l", "8", "--processes", "2", "--no-vectorize",
+            ])
+        assert exit_info.value.code == 2
+        assert "--no-vectorize" in capsys.readouterr().err
 
 
 class TestShardedCli:

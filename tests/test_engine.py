@@ -1,14 +1,20 @@
-"""Engine layer: automaton adapters, trie planner, stats, deadlines.
+"""Engine layer: automaton adapters, trie planner, index counter, stats,
+deadlines.
 
 The differential core: for every automaton-capable index, the engine's
 trie-planned ``count_many`` must return exactly what sequential
 ``count`` calls return — the planner is an execution strategy, never an
-approximation. On top of that: ``automaton_of`` resolution order,
-capability descriptors, the LRU state-cache bound (eviction never drops
-memoised results), and deadline aborts mid-batch.
+approximation — both at the default wave width and with every wave
+pushed through ``step_many``. On top of that: ``automaton_of`` resolution
+order, capability descriptors, the LRU state-cache bound (eviction never
+drops memoised results), deadline aborts mid-batch, and the
+:class:`~repro.engine.IndexCounter`'s whole-pattern side and
+certification rule.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -24,11 +30,12 @@ from repro.engine import (
     AutomatonCapabilities,
     BackwardSearchAutomaton,
     EngineStats,
-    LegacyProtocolAutomaton,
+    IndexCounter,
     TrieBatchPlanner,
     automaton_of,
     planner_for,
 )
+from repro.engine import planner as planner_module
 from repro.errors import DeadlineExceededError, PatternError
 from repro.datasets import generate
 from repro.service import Deadline, ManualClock
@@ -44,6 +51,15 @@ BUILDERS = {
     "cpst": lambda text: CompactPrunedSuffixTree(text, THRESHOLD),
     "pst": lambda text: PrunedSuffixTree(text, THRESHOLD),
 }
+
+
+@contextmanager
+def every_wave_bulk():
+    """Push every wave through ``step_many``: the planner reads its width
+    floor on every wave, so patching it reaches planners already built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner_module, "WAVE_WIDTH_MIN", 1)
+        yield
 
 
 @pytest.fixture(scope="module", params=["dna", "english", "dblp"])
@@ -177,11 +193,13 @@ def test_automaton_of_hook_wins_over_isinstance(corpus):
 
 
 def test_automaton_of_legacy_protocol_shim(corpus):
+    """The pre-engine underscore protocol has no shim: an object that only
+    spells those names has no automaton view, like any other object."""
     _, text, _ = corpus
     inner = FMIndex(text)
 
     class LegacyIndex:
-        """Only speaks the deprecated underscore protocol."""
+        """Only speaks the retired underscore protocol."""
 
         def _automaton_start(self, ch):
             return inner.start(ch)
@@ -192,10 +210,8 @@ def test_automaton_of_legacy_protocol_shim(corpus):
         def _automaton_count(self, state):
             return inner.count_state(state)
 
-    shim = automaton_of(LegacyIndex())
-    assert isinstance(shim, LegacyProtocolAutomaton)
-    planner = TrieBatchPlanner(shim)
-    assert planner.count("the") == inner.count("the")
+    assert automaton_of(LegacyIndex()) is None
+    assert planner_for(LegacyIndex()) is None
 
 
 def test_automaton_of_none_without_view(corpus):
@@ -203,15 +219,6 @@ def test_automaton_of_none_without_view(corpus):
     assert automaton_of(QGramIndex(text, q=4)) is None
     assert planner_for(QGramIndex(text, q=4)) is None
     assert automaton_of(object()) is None
-
-
-def test_deprecated_underscore_aliases_still_work(corpus):
-    """The ABC keeps `_automaton_*` aliases during the deprecation window."""
-    _, text, _ = corpus
-    index = FMIndex(text)
-    state = index._automaton_start("t")
-    state = index._automaton_step(state, "h")  # prepends: state now = "ht"
-    assert index._automaton_count(state) == index.count("ht")
 
 
 # --- capabilities ------------------------------------------------------------
@@ -223,15 +230,11 @@ def test_capabilities_descriptors(corpus):
         kind: automaton_of(BUILDERS[kind](text)).capabilities()
         for kind in BUILDERS
     }
-    assert caps["fm"] == AutomatonCapabilities(
-        exact=True, rank_ops_per_step=2, vectorized=True
-    )
+    assert caps["fm"] == AutomatonCapabilities(exact=True, rank_ops_per_step=2)
     assert caps["rlfm"].exact and caps["rlfm"].rank_ops_per_step == 2
     assert not caps["apx"].exact and caps["apx"].threshold == THRESHOLD
     assert caps["cpst"].lower_sided and caps["cpst"].threshold == THRESHOLD
     assert caps["pst"].lower_sided and caps["pst"].rank_ops_per_step == 0
-    # Every index family ships a bulk step (PR: vectorized batch engine).
-    assert all(c.vectorized for c in caps.values())
 
 
 def test_rank_calls_follow_capabilities(corpus):
@@ -246,26 +249,25 @@ def test_rank_calls_follow_capabilities(corpus):
         assert stats.rank_calls == extensions * per_step, kind
 
 
-# --- vectorized wave execution ----------------------------------------------
+# --- wave execution ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_vectorized_equals_scalar_equals_sequential(corpus, kind):
-    """The PR's differential core: wave-planned batches == scalar-planned
-    batches == per-pattern counts, for every index family."""
+    """The differential core: batches with every wave bulk-stepped ==
+    batches at the default width (narrow waves stepped one state at a
+    time) == per-pattern counts, for every index family."""
     name, text, workload = corpus
     index = BUILDERS[kind](text)
     sequential = [index.count(p) for p in workload]
-    # wave_width_min=1 forces every wave through step_many so the bulk
-    # differential covers all widths (production keeps the scalar
-    # fallback for narrow waves — same answers either way).
-    vectorized = planner_for(index, vectorize=True, wave_width_min=1)
-    scalar = planner_for(index, vectorize=False)
-    assert vectorized.vectorized and not scalar.vectorized, (name, kind)
-    assert vectorized.count_many(workload) == sequential, (name, kind)
-    assert scalar.count_many(workload) == sequential, (name, kind)
+    default = planner_for(index)
+    assert default.count_many(workload) == sequential, (name, kind)
+    # Only waves at least WAVE_WIDTH_MIN wide go through step_many.
+    assert all(w >= planner_module.WAVE_WIDTH_MIN for w in default.bulk_widths)
+    with every_wave_bulk():
+        vectorized = planner_for(index)
+        assert vectorized.count_many(workload) == sequential, (name, kind)
     assert vectorized.stats.bulk_calls > 0, (name, kind)
-    assert scalar.stats.bulk_calls == 0, (name, kind)
     # The wave path really batches: total bulk width == bulk-stepped states.
     widths = vectorized.bulk_widths
     assert sum(w * c for w, c in widths.items()) == vectorized.stats.bulk_states
@@ -276,8 +278,10 @@ def test_vectorized_count_or_none_matches(corpus, kind):
     name, text, workload = corpus
     index = BUILDERS[kind](text)
     expected = [index.count_or_none(p) for p in workload]
-    planner = planner_for(index, vectorize=True)
-    assert planner.count_or_none_many(workload) == expected, (name, kind)
+    assert planner_for(index).count_or_none_many(workload) == expected, (name, kind)
+    with every_wave_bulk():
+        planner = planner_for(index)
+        assert planner.count_or_none_many(workload) == expected, (name, kind)
 
 
 def test_step_many_default_is_scalar_loop(corpus):
@@ -298,9 +302,9 @@ def test_step_many_default_is_scalar_loop(corpus):
     plain = Plain()
     states = [index.start(c) for c in "athe"]
     assert plain.step_many(states, "t") == [index.step(s, "t") for s in states]
-    assert not plain.capabilities().vectorized
-    # And the planner ignores the vectorize knob without the capability.
-    assert not TrieBatchPlanner(plain, vectorize=True).vectorized
+    # So the planner's waves drive an automaton without a bulk kernel.
+    with every_wave_bulk():
+        assert TrieBatchPlanner(plain).count("the") == index.count("the")
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -318,11 +322,11 @@ def test_step_many_matches_step(corpus, kind):
 
 
 def test_eviction_parity_scalar_vs_vectorized(corpus):
-    """Satellite: the LRU budget is accounted identically on both paths —
-    one cache probe and one insert per distinct suffix — so a tiny budget
-    evicts the same amount and never changes answers. FM walks die only on
-    absent symbols; the CPST case also dies mid-pattern (below threshold),
-    where both walks stop."""
+    """The LRU budget is accounted identically whether a wave is stepped
+    one state at a time or in bulk — one cache probe and one insert per
+    distinct suffix — so a tiny budget evicts the same amount and never
+    changes answers. FM walks die only on absent symbols; the CPST case
+    also dies mid-pattern (below threshold), where the walk stops."""
     _, text, workload = corpus
     cpst = CompactPrunedSuffixTree(text, THRESHOLD)
     assert any(
@@ -333,26 +337,24 @@ def test_eviction_parity_scalar_vs_vectorized(corpus):
     for index in (FMIndex(text), cpst):
         expected = [index.count(p) for p in workload]
         planners = {
-            mode: TrieBatchPlanner(
-                automaton_of(index), max_states=4,
-                vectorize=(mode == "waves"), wave_width_min=1,
-            )
+            mode: TrieBatchPlanner(automaton_of(index), max_states=4)
             for mode in ("scalar", "waves")
         }
-        for planner in planners.values():
-            assert planner.count_many(workload) == expected
+        assert planners["scalar"].count_many(workload) == expected
+        with every_wave_bulk():
+            assert planners["waves"].count_many(workload) == expected
         scalar, waves = planners["scalar"].stats, planners["waves"].stats
         assert scalar.state_cache_evictions == waves.state_cache_evictions > 0
         assert scalar.state_cache_misses == waves.state_cache_misses
         assert len(planners["scalar"]._states) == len(planners["waves"]._states)
 
 
-@pytest.mark.parametrize("vectorize", [False, True])
-def test_dying_pattern_costs_its_death_depth(vectorize):
+@pytest.mark.parametrize("bulk", [False, True])
+def test_dying_pattern_costs_its_death_depth(bulk):
     """Dead is absorbing: a long pattern whose suffix falls below the
     threshold within a few symbols costs that many extensions, caches no
-    suffix longer than that, and answers None — on the scalar walk and on
-    the wave walk alike."""
+    suffix longer than that, and answers None — whether its waves are
+    stepped one state at a time or in bulk."""
     text = Text(generate("dna", 20_000, seed=5))
     index = CompactPrunedSuffixTree(text, 16)
     pattern = text.raw[3_000:9_000]
@@ -361,14 +363,13 @@ def test_dying_pattern_costs_its_death_depth(vectorize):
         if index.count_or_none(pattern[-d:]) is None
     )
     assert death <= 12 and len(pattern) >= 5_000
-    planner = TrieBatchPlanner(
-        automaton_of(index), vectorize=vectorize, wave_width_min=1
-    )
-    assert planner.vectorized == vectorize
+    planner = TrieBatchPlanner(automaton_of(index))
     # The long pattern, the suffix it dies at, and a pattern sharing it.
     batch = [pattern, pattern[-death:], "A" + pattern[-death - 3 :]]
-    assert planner.count_or_none_many(batch) == [None, None, None]
+    with every_wave_bulk() if bulk else nullcontext():
+        assert planner.count_or_none_many(batch) == [None, None, None]
     stats = planner.stats
+    assert (stats.bulk_calls > 0) == bulk
     assert stats.automaton_starts + stats.automaton_steps <= death
     assert max(len(key) for key in planner._states) <= death
     # A later batch finds the dead suffix in the cache and stops there.
@@ -380,9 +381,8 @@ def test_dying_pattern_costs_its_death_depth(vectorize):
 
 
 def test_wave_probe_accounting_deduplicates(corpus):
-    """Satellite: duplicated patterns add zero LRU traffic and zero
-    automaton work on the wave path — probes, steps and waves are all
-    per *distinct* suffix per batch."""
+    """Duplicated patterns add zero LRU traffic and zero automaton work —
+    probes, steps and waves are all per *distinct* suffix per batch."""
     _, text, _ = corpus
     index = FMIndex(text)
     base = text.raw[50:58]
@@ -390,8 +390,9 @@ def test_wave_probe_accounting_deduplicates(corpus):
     duplicated = [base, base, base[1:], base[2:], base]
     stats = {}
     for label, patterns in [("unique", unique), ("duplicated", duplicated)]:
-        planner = planner_for(index, vectorize=True, wave_width_min=1)
-        planner.count_many(patterns)
+        planner = planner_for(index)
+        with every_wave_bulk():
+            planner.count_many(patterns)
         stats[label] = planner.stats
     dup, uniq = stats["duplicated"], stats["unique"]
     assert dup.state_cache_misses == uniq.state_cache_misses
@@ -406,28 +407,11 @@ def test_wave_probe_accounting_deduplicates(corpus):
     )
 
 
-def test_default_vectorize_toggle(corpus):
-    from repro.engine import default_vectorize, set_default_vectorize
-
-    _, text, workload = corpus
-    index = FMIndex(text)
-    assert default_vectorize()
-    try:
-        set_default_vectorize(False)
-        assert not planner_for(index).vectorized
-        # An explicit knob still wins over the process default.
-        assert planner_for(index, vectorize=True).vectorized
-    finally:
-        set_default_vectorize(True)
-    planner = planner_for(index)
-    assert planner.vectorized
-    assert planner.count_many(workload) == [index.count(p) for p in workload]
-
-
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_automaton_vectorizes(corpus, shards):
     """The sharded product automaton bulk-steps its component columns:
-    same merged scalars as the scalar walk, with bulk waves recorded."""
+    same merged scalars at the default width, with every wave in bulk,
+    and through the fan-out, with bulk waves recorded."""
     from repro.shard import ShardPlan, build_sharded
     from repro.textutil import ROW_SEPARATOR
 
@@ -441,11 +425,152 @@ def test_sharded_automaton_vectorizes(corpus, shards):
         for p in mixed_workload(probe, lengths=(1, 2, 3), per_length=6, seed=9)
         if ROW_SEPARATOR not in p
     ]
-    automaton = automaton_of(estimator)
-    assert automaton.capabilities().vectorized
-    vectorized = TrieBatchPlanner(automaton, vectorize=True, wave_width_min=1)
-    scalar = TrieBatchPlanner(automaton, vectorize=False)
-    results = vectorized.count_many(patterns)
-    assert results == scalar.count_many(patterns)
+    with every_wave_bulk():
+        vectorized = planner_for(estimator)
+        results = vectorized.count_many(patterns)
+    assert results == planner_for(estimator).count_many(patterns)
     assert results == [estimator.count(p) for p in patterns]
     assert vectorized.stats.bulk_calls > 0
+
+
+# --- IndexCounter: the whole-pattern side ------------------------------------
+
+
+def test_counter_whole_pattern_side_matches_direct_counts(corpus):
+    """Indexes without an automaton view are counted whole-pattern, one
+    call per pattern, with the counter's own stats."""
+    from repro.service import TextStatsEstimator
+
+    _, text, workload = corpus
+    for index in (QGramIndex(text, q=4), TextStatsEstimator(text)):
+        counter = IndexCounter(index)
+        assert counter.planner is None
+        assert counter.count_many(workload) == [index.count(p) for p in workload]
+        assert counter.count(workload[0]) == index.count(workload[0])
+        assert counter.stats.patterns == len(workload) + 1
+        assert counter.stats.deadline_checks == 0
+        with pytest.raises(PatternError):
+            counter.count("")
+
+
+def test_counter_whole_pattern_side_never_memoises(tmp_path):
+    """A live corpus changes underneath the counter: an append between two
+    counts shows in the second."""
+    from repro.live import LiveCorpus
+
+    with LiveCorpus.create(tmp_path / "live") as live:
+        live.append("d1", "abracadabra")
+        counter = IndexCounter(live)
+        assert counter.planner is None
+        assert counter.count("abra") == 2
+        assert counter.count_or_none("abra") == 2
+        live.append("d2", "abracadabra")
+        assert counter.count("abra") == 4
+        assert counter.count_or_none("abra") == 4
+        assert counter.count_many(["abra", "cad"]) == [4, 2]
+
+
+def test_counter_deadline_passed_through_or_checked(corpus):
+    """The counter checks the deadline once per whole-pattern call, and
+    also hands it to an index whose ``accepts_deadline`` is set."""
+    from repro.service import TextStatsEstimator
+
+    _, text, _ = corpus
+    received = []
+
+    class TakesDeadline(TextStatsEstimator):
+        accepts_deadline = True
+
+        def count(self, pattern, deadline=None):
+            received.append(deadline)
+            return super().count(pattern)
+
+    clock = ManualClock()
+    live = Deadline(60.0, clock)
+    taking = IndexCounter(TakesDeadline(text))
+    assert taking.count_many(["ab", "ba"], live) == [
+        TextStatsEstimator(text).count(p) for p in ("ab", "ba")
+    ]
+    assert received == [live, live]
+    assert taking.stats.patterns == 2 and taking.stats.deadline_checks == 2
+
+    plain = IndexCounter(QGramIndex(text, q=4))
+    expired = Deadline(1.0, clock)
+    clock.advance(2.0)
+    with pytest.raises(DeadlineExceededError):
+        plain.count("ab", expired)
+    with pytest.raises(DeadlineExceededError):
+        plain.count_or_none("ab", expired)
+    assert plain.stats.patterns == 2 and plain.stats.deadline_checks == 2
+    assert plain.count("ab") == QGramIndex(text, q=4).count("ab")
+    assert plain.stats.deadline_checks == 2
+
+
+# --- IndexCounter: the certification rule ------------------------------------
+
+
+def test_counter_certifies_lower_sided_automata_through_the_planner(corpus):
+    _, text, workload = corpus
+    for kind in ("cpst", "pst"):
+        index = BUILDERS[kind](text)
+        counter = IndexCounter(index)
+        expected = [index.count_or_none(p) for p in workload]
+        assert counter.count_or_none_many(workload) == expected, kind
+        assert [counter.count_or_none(p) for p in workload] == expected, kind
+        assert counter.stats is counter.planner.stats
+        assert counter.stats.automaton_starts > 0, kind
+
+
+def test_counter_certifies_sharded_through_the_fanout(corpus):
+    """The product automaton is not lower-sided, so a sharded CPST
+    certifies through its fan-out, which sees a quarantine made after
+    the counter was built."""
+    from repro.shard import ShardPlan, build_sharded
+    from repro.textutil import ROW_SEPARATOR
+
+    _, text, _ = corpus
+    rows = [text.raw[i : i + 400] for i in range(0, 1600, 400)]
+    plan = ShardPlan.for_rows(rows, 2)
+    estimator, _ = build_sharded(plan, "cpst", 8)
+    counter = IndexCounter(estimator)
+    assert counter.planner is not None
+    assert not counter.planner.capabilities.lower_sided
+    probe = Text.from_rows(rows)
+    patterns = [
+        p
+        for p in mixed_workload(probe, lengths=(1, 2, 3), per_length=6, seed=9)
+        if ROW_SEPARATOR not in p
+    ]
+    expected = [estimator.count_or_none(p) for p in patterns]
+    assert any(value is not None for value in expected)
+    assert counter.count_or_none_many(patterns) == expected
+    assert counter.planner.stats.automaton_starts == 0  # fan-out, not planner
+    estimator.quarantine_shard(plan.names[0], "test")
+    assert counter.count_or_none_many(patterns) == [None] * len(patterns)
+
+
+def test_counter_certifies_own_count_or_none_and_exact(corpus):
+    _, text, workload = corpus
+    qgram = QGramIndex(text, q=4)
+    assert IndexCounter(qgram).count_or_none_many(workload) == [
+        qgram.count_or_none(p) for p in workload
+    ]
+    fm = FMIndex(text)
+    counter = IndexCounter(fm)
+    assert counter.certifies
+    assert counter.count_or_none_many(workload) == [fm.count(p) for p in workload]
+    assert counter.count_or_none(workload[0]) == fm.count(workload[0])
+
+
+def test_counter_refuses_what_cannot_certify(corpus):
+    from repro.service import TextStatsEstimator
+
+    _, text, workload = corpus
+    for index in (ApproxIndex(text, THRESHOLD), TextStatsEstimator(text)):
+        counter = IndexCounter(index)
+        assert not counter.certifies
+        assert counter.count(workload[0]) == index.count(workload[0])
+        with pytest.raises(PatternError, match="cannot certify"):
+            counter.count_or_none(workload[0])
+        with pytest.raises(PatternError, match="cannot certify"):
+            counter.count_or_none_many(workload)

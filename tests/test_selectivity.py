@@ -41,6 +41,32 @@ class TestCountOracle:
         with pytest.raises(InvalidParameterError):
             CountOracle(object())
 
+    def test_refuses_uniform_error_index(self, english_like):
+        """APX's counts overshoot by up to l - 1; none of them is certified,
+        so neither the oracle nor an estimator over it may start."""
+        from repro.core.approx import ApproxIndex
+
+        apx = ApproxIndex(english_like, 16)
+        with pytest.raises(InvalidParameterError, match="certifies"):
+            CountOracle(apx)
+        with pytest.raises(InvalidParameterError):
+            MOLEstimator(apx)
+
+    def test_accepts_lower_sided_and_exact_indexes(self, english_like):
+        from repro.core.combined import CombinedIndex
+
+        truth = english_like.count_naive("the")
+        for index in (
+            FMIndex(english_like),
+            CompactPrunedSuffixTree(english_like, 8),
+            PrunedSuffixTree(english_like, 8),
+            QGramIndex(english_like, q=4),
+            CombinedIndex(english_like, 8),
+        ):
+            oracle = CountOracle(index)
+            assert oracle.known("the") == truth, type(index).__name__
+            assert oracle.threshold == index.threshold
+
     def test_longest_known(self):
         t = Text("abcabcabc")
         oracle = CountOracle(CompactPrunedSuffixTree(t, 2))

@@ -95,11 +95,11 @@ class TestDeadline:
             ManualClock().advance(-1)
 
     def test_threads_through_batch_counter(self):
-        from repro.batch import SuffixSharingCounter
+        from repro.engine import IndexCounter
 
         clock = ManualClock()
         index = CompactPrunedSuffixTree(TEXT, 8)
-        counter = SuffixSharingCounter(index)
+        counter = IndexCounter(index)
         expired = Deadline(0.1, clock)
         clock.advance(0.2)
         with pytest.raises(DeadlineExceededError):

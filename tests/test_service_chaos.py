@@ -113,9 +113,10 @@ class TestCorruptedAnswers:
 
 
 class TestBulkStepChaos:
-    """Chaos parity for the vectorized engine path (automaton_step_many)."""
+    """Chaos parity for bulk waves (the automaton_step_many site)."""
 
-    def test_bulk_site_fires_only_on_vectorized_waves(self):
+    def test_bulk_site_fires_only_on_vectorized_waves(self, monkeypatch):
+        from repro.engine import planner as planner_module
         from repro.engine import planner_for
         from repro.service.faults import InjectedFault
 
@@ -125,24 +126,28 @@ class TestBulkStepChaos:
             {"automaton_step_many": spec},
             seed=SEED,
         )
-        # The faulty automaton keeps the inner's vectorized capability, so
-        # the planner takes the wave path — straight into the bulk site.
+        # Every wave of this small workload is narrower than the planner's
+        # width floor, so at the default width each state steps on its
+        # own and never touches step_many: same faults, no trips.
         multi = [p for p in WORKLOAD if len(p) >= 2]
-        vectorized = planner_for(faulty, vectorize=True, wave_width_min=1)
-        assert vectorized.capabilities.vectorized
-        with pytest.raises(InjectedFault, match="automaton_step_many"):
-            vectorized.count_many(multi)
-        assert faulty.injections[("automaton_step_many", "error")] > 0
-        # The scalar path never touches step_many: same faults, no trips.
-        scalar = planner_for(faulty, vectorize=False)
+        default = planner_for(faulty)
         truth = CompactPrunedSuffixTree(TEXT, L)
-        assert scalar.count_many(multi) == [truth.count(p) for p in multi]
+        assert default.count_many(multi) == [truth.count(p) for p in multi]
+        assert default.stats.bulk_calls == 0
+        assert faulty.injections[("automaton_step_many", "error")] == 0
+        # With every wave in bulk, the walk goes straight into the site.
+        monkeypatch.setattr(planner_module, "WAVE_WIDTH_MIN", 1)
+        with pytest.raises(InjectedFault, match="automaton_step_many"):
+            planner_for(faulty).count_many(multi)
+        assert faulty.injections[("automaton_step_many", "error")] > 0
 
-    def test_bulk_waves_face_scalar_step_rates(self):
-        """Each bulk-stepped state rolls the automaton_step rate, so the
-        vectorized path cannot dodge chaos by batching."""
+    def test_bulk_waves_face_scalar_step_rates(self, monkeypatch):
+        """Each bulk-stepped state rolls the automaton_step rate, so a
+        bulk wave cannot dodge chaos by batching."""
+        from repro.engine import planner as planner_module
         from repro.engine import planner_for
 
+        monkeypatch.setattr(planner_module, "WAVE_WIDTH_MIN", 1)
         spec = FaultSpec(latency_rate=1.0, latency=0.01)
         clock = ManualClock()
         faulty = FaultyIndex(
@@ -151,10 +156,11 @@ class TestBulkStepChaos:
             seed=SEED,
             sleep=clock.sleep,
         )
-        planner = planner_for(faulty, vectorize=True, wave_width_min=1)
+        planner = planner_for(faulty)
         planner.count_many([p for p in WORKLOAD if len(p) >= 2])
         spikes = faulty.injections[("automaton_step", "latency")]
         assert spikes == planner.stats.automaton_steps > 0
+        assert planner.stats.bulk_calls > 0
 
     def test_ladder_survives_bulk_blackout(self):
         spec = FaultSpec(error_rate=1.0)
@@ -224,9 +230,9 @@ class TestPartialFaults:
         apx_tier.estimator = dead_apx = FaultyIndex.failing(
             apx_tier.estimator, rate=1.0, seed=SEED + 1
         )
-        from repro.batch import SuffixSharingCounter
+        from repro.engine import IndexCounter
 
-        apx_tier._counter = SuffixSharingCounter(dead_apx, max_states=4096)
+        apx_tier._counter = IndexCounter(dead_apx, max_states=4096)
         outcomes = [service.query(pattern) for pattern in WORKLOAD]
         served_by = {outcome.tier for outcome in outcomes}
         assert served_by <= {"qgram", "stats"}

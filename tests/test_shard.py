@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.batch import SuffixSharingCounter
+from repro.engine import IndexCounter
 from repro.core.interface import ErrorModel
 from repro.errors import InvalidParameterError
 from repro.shard import (
@@ -249,7 +249,7 @@ class TestDifferential:
         apx, _ = build_sharded(plan, "apx", self.L, policy=policy)
         patterns = _workload(mono, seed=4, per_length=8)
         fanout = [apx.count(p) for p in patterns]
-        assert SuffixSharingCounter(apx).count_many(patterns) == fanout
+        assert IndexCounter(apx).count_many(patterns) == fanout
 
 
 class TestShardedLifecycle:
