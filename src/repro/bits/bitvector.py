@@ -1,10 +1,19 @@
 """Plain bitvectors with O(1) rank and O(log n) select.
 
-The bits are stored packed into 64-bit words; a word-granular cumulative
-popcount directory provides constant-time :meth:`BitVector.rank1`. Select is
-answered by binary search on the directory followed by an in-word scan,
-giving ``O(log n)`` worst case — entirely adequate for this library, where
-selects are performed O(|P|) times per query.
+The bits are stored packed into 64-bit words. Rank reads a two-level
+directory: one int64 count of the 1s before each block of 2**16 bits
+(1,024 words), and one uint16 count per word of the 1s between its
+block's start and the word (at most 65,472, so it fits). ``rank1(i)`` is
+the block count plus the word count plus one masked popcount. The
+directory costs 16 bits per word plus 64 per block: a quarter of the
+payload, where one int64 per word cost as much as the payload itself.
+
+``select1`` bisects the block counts and then the word counts inside the
+block (both C-level ``bisect_left`` over memoryviews); ``select0`` binary
+searches the zeros before each block and then before each of the block's
+words. Both finish inside the word, giving ``O(log n)`` worst case —
+entirely adequate for this library, where selects are performed O(|P|)
+times per query.
 
 Space accounting distinguishes the payload (``n`` bits) from the rank
 directory overhead so experiment reports can show both.
@@ -40,6 +49,24 @@ _SELECT8_FLAT = _SELECT8.ravel().astype(_U64)
 
 _LANES = _U64(0x0101010101010101)  # 1 in each of a word's eight byte lanes
 _HIGHS = _U64(0x8080808080808080)  # the high bit of each byte lane
+
+# Directory blocks: 1 << _BLOCK_SHIFT words (2**16 bits) per int64 count.
+# The scalar kernels spell these out (10, 1024, 16) to skip a global read.
+_BLOCK_SHIFT = 10
+_BLOCK_WORDS = 1 << _BLOCK_SHIFT
+
+
+def _split_directory(cumulative: np.ndarray):
+    """``(blocks, counts)`` from a cumulative per-word count.
+
+    ``cumulative[i]`` is the number of 1s before word ``i`` (one entry per
+    word plus one); ``blocks[b] = cumulative[b << 10]`` and ``counts[i] =
+    cumulative[i] - blocks[i >> 10]``. Both come out as fresh arrays, so
+    nothing keeps ``cumulative`` alive.
+    """
+    blocks = cumulative[::_BLOCK_WORDS].astype(np.int64)
+    counts = cumulative - np.repeat(blocks, _BLOCK_WORDS)[: cumulative.size]
+    return blocks, counts.astype(np.uint16)
 
 
 def _select_in_words_many(words: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -85,8 +112,8 @@ class BitVector(DerivedState):
       of bit ``b``, or ``-1`` when there are fewer than ``k``.
     """
 
-    _STORED = ("_words", "_n", "_ones", "_rank_dir")
-    __slots__ = _STORED + ("_wv", "_rv")
+    _STORED = ("_words", "_n", "_ones", "_blocks", "_counts")
+    __slots__ = _STORED + ("_wv", "_bv", "_cv")
 
     def __init__(self, bits: np.ndarray | Sequence[int] | Iterable[int]):
         arr = np.asarray(
@@ -104,11 +131,10 @@ class BitVector(DerivedState):
             packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
         words = packed.view(_U64)
         self._words = words
-        # _rank_dir[i] = number of 1s strictly before word i.
-        self._rank_dir = np.concatenate(
-            [[0], np.cumsum(np.bitwise_count(words), dtype=np.int64)]
-        )
-        self._ones = int(self._rank_dir[-1])
+        cumulative = np.zeros(words.size + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words), out=cumulative[1:])
+        self._blocks, self._counts = _split_directory(cumulative)
+        self._ones = int(cumulative[-1])
         self._derive()
 
     def _derive(self) -> None:
@@ -116,7 +142,16 @@ class BitVector(DerivedState):
         yields a Python ``int`` without boxing a numpy scalar, and a view
         of a read-only segment is itself read-only."""
         self._wv = memoryview(self._words)
-        self._rv = memoryview(self._rank_dir)
+        self._bv = memoryview(self._blocks)
+        self._cv = memoryview(self._counts)
+
+    def __setstate__(self, state) -> None:
+        slots = dict(state[1])
+        legacy = slots.pop("_rank_dir", None)
+        if legacy is not None:
+            # Pickled with the one-int64-per-word directory: split it.
+            slots["_blocks"], slots["_counts"] = _split_directory(legacy)
+        super().__setstate__((None, slots))
 
     @classmethod
     def from_positions(cls, positions: Iterable[int], length: int) -> "BitVector":
@@ -163,8 +198,12 @@ class BitVector(DerivedState):
             raise IndexError(f"rank position {i} out of range (n={self._n})")
         off = i & 63
         if off:
-            return self._rv[i >> 6] + (self._wv[i >> 6] & ((1 << off) - 1)).bit_count()
-        return self._rv[i >> 6]
+            w = i >> 6
+            return (
+                self._bv[i >> 16] + self._cv[w]
+                + (self._wv[w] & ((1 << off) - 1)).bit_count()
+            )
+        return self._bv[i >> 16] + self._cv[i >> 6]
 
     def rank0(self, i: int) -> int:
         """Number of 0s in positions ``[0, i)``."""
@@ -181,10 +220,10 @@ class BitVector(DerivedState):
     def rank1_many(self, positions) -> np.ndarray:
         """Vectorised :meth:`rank1` over an int array of positions.
 
-        One directory gather plus one masked in-word popcount for the whole
-        batch; never allocates anything proportional to ``n`` and never
-        writes to the word arrays, so it is safe on ``writeable=False``
-        shared-memory views.
+        Two directory gathers (block and word counts) plus one masked
+        in-word popcount for the whole batch; never allocates anything
+        proportional to ``n`` and never writes to the word arrays, so it
+        is safe on ``writeable=False`` shared-memory views.
         """
         idx = np.asarray(positions, dtype=np.int64)
         if idx.size == 0:
@@ -192,7 +231,7 @@ class BitVector(DerivedState):
         if int(idx.min()) < 0 or int(idx.max()) > self._n:
             raise IndexError(f"rank position out of range (n={self._n})")
         widx = idx >> 6
-        out = self._rank_dir[widx]
+        out = self._blocks[widx >> _BLOCK_SHIFT] + self._counts[widx]
         if self._words.size:
             # i == n on a word boundary gathers past the end; "clip" reads
             # the last word instead, which its all-zero mask discards.
@@ -215,8 +254,20 @@ class BitVector(DerivedState):
         return _where_valid(k, (k >= 1) & (k <= self._ones), self._select1_valid)
 
     def _select1_valid(self, k: np.ndarray) -> np.ndarray:
-        widx = np.searchsorted(self._rank_dir, k, side="left") - 1
-        pos = _select_in_words_many(self._words[widx], k - self._rank_dir[widx])
+        # The block holding the k-th one (last block count below k), then
+        # the last word of that block whose count is below k, found by a
+        # branchless search of fixed rounds inside each lane's block (a
+        # probe never leaves it; past the last word "clip" reads the last
+        # count, which already reaches k).
+        blocks, counts = self._blocks, self._counts
+        block = np.searchsorted(blocks, k, side="left") - 1
+        k = k - blocks[block]
+        widx = block << _BLOCK_SHIFT
+        rounds = min(_BLOCK_SHIFT, (counts.size - 1).bit_length())
+        for shift in range(rounds - 1, -1, -1):
+            probe = widx + (1 << shift)
+            widx = np.where(counts.take(probe, mode="clip") < k, probe, widx)
+        pos = _select_in_words_many(self._words[widx], k - counts[widx])
         return (widx << 6) + pos
 
     def select0_many(self, ks) -> np.ndarray:
@@ -225,18 +276,27 @@ class BitVector(DerivedState):
         return _where_valid(k, (k >= 1) & (k <= self._n - self._ones), self._select0_valid)
 
     def _select0_valid(self, k: np.ndarray) -> np.ndarray:
-        # Branchless batched binary search for the last word with fewer
-        # than k zeros before it (64*i - rank_dir[i] < k): a fixed
-        # ceil(log2(words + 1)) rounds, so every lane advances together and
-        # no round compresses the batch. A probe past the last word reads
-        # the last entry ("clip"), whose zero count already reaches k.
-        rank_dir = self._rank_dir
-        lo = np.zeros(k.shape, dtype=np.int64)
-        for shift in range((rank_dir.size - 1).bit_length() - 1, -1, -1):
+        # Branchless batched binary searches with fixed rounds, so every
+        # lane advances together and no round compresses the batch: first
+        # for the last block with fewer than k zeros before it
+        # (2**16 * b - blocks[b] < k), then, with k shifted by that block's
+        # count, for the last of its words with fewer than k zeros before
+        # it (64*i - counts[i] < k). A probe never leaves its block; one
+        # past the last block or word reads the last entry ("clip"), whose
+        # zero count already reaches k.
+        blocks, counts = self._blocks, self._counts
+        block = np.zeros(k.shape, dtype=np.int64)
+        for shift in range((blocks.size - 1).bit_length() - 1, -1, -1):
+            probe = block + (1 << shift)
+            below = (probe << 16) - blocks.take(probe, mode="clip") < k
+            block = np.where(below, probe, block)
+        k = k + blocks[block]
+        lo = block << _BLOCK_SHIFT
+        rounds = min(_BLOCK_SHIFT, (counts.size - 1).bit_length())
+        for shift in range(rounds - 1, -1, -1):
             probe = lo + (1 << shift)
-            below = (probe << 6) - rank_dir.take(probe, mode="clip") < k
-            lo = np.where(below, probe, lo)
-        remaining = k - ((lo << 6) - rank_dir[lo])
+            lo = np.where((probe << 6) - counts.take(probe, mode="clip") < k, probe, lo)
+        remaining = k - ((lo << 6) - counts[lo])
         return (lo << 6) + _select_in_words_many(~self._words[lo], remaining)
 
     def select_many(self, bit: int, ks) -> np.ndarray:
@@ -249,27 +309,49 @@ class BitVector(DerivedState):
         """Position of the k-th (1-based) set bit, or -1 if ``k > num_ones``."""
         if k < 1 or k > self._ones:
             return -1
-        # The word holding the k-th one: first directory entry >= k, less one.
-        widx = bisect_left(self._rv, k) - 1
-        return (widx << 6) + _select_in_word(self._wv[widx], k - self._rv[widx])
+        # The word holding the k-th one: first word count >= k, less one,
+        # inside the block found the same way over the block counts.
+        blocks, counts = self._bv, self._cv
+        start = bisect_left(blocks, k) - 1
+        k -= blocks[start]
+        start <<= 10
+        end = start + 1024
+        if end > len(counts):  # the last block may hold fewer words
+            end = len(counts)
+        widx = bisect_left(counts, k, start, end) - 1
+        return (widx << 6) + _select_in_word(self._wv[widx], k - counts[widx])
 
     def select0(self, k: int) -> int:
         """Position of the k-th (1-based) clear bit, or -1 if ``k > num_zeros``."""
         if k < 1 or k > self._n - self._ones:
             return -1
-        # zeros before word i = 64*i - rank_dir[i]; binary search on it.
         # The k-th zero sits at k - 1 + (ones before it), which bounds its
         # word between (k - 1) / 64 and (k - 1 + ones) / 64.
-        rank_dir = self._rv
-        lo, hi = (k - 1) >> 6, min(len(rank_dir) - 1, (k - 1 + self._ones) >> 6)
+        blocks, counts = self._bv, self._cv
+        lo, hi = (k - 1) >> 6, min(len(counts) - 1, (k - 1 + self._ones) >> 6)
+        # Its block: the last with fewer than k zeros before it, which
+        # are 2**16 * b - blocks[b]; then the bounds shrink to its words.
+        block = lo >> 10
+        top = hi >> 10
+        if block < top:
+            while block < top:
+                mid = (block + top + 1) >> 1
+                if (mid << 16) - blocks[mid] < k:
+                    block = mid
+                else:
+                    top = mid - 1
+            lo, hi = max(lo, block << 10), min(hi, (block << 10) + 1023)
+        # Its word: zeros before word i are 64*i - blocks[block] - counts[i],
+        # so with k shifted by blocks[block] only counts[i] is read.
+        k += blocks[block]
         while lo < hi:
             mid = (lo + hi + 1) >> 1
-            if (mid << 6) - rank_dir[mid] < k:
+            if (mid << 6) - counts[mid] < k:
                 lo = mid
             else:
                 hi = mid - 1
         word = ~self._wv[lo] & 0xFFFFFFFFFFFFFFFF
-        return (lo << 6) + _select_in_word(word, k - ((lo << 6) - rank_dir[lo]))
+        return (lo << 6) + _select_in_word(word, k - ((lo << 6) - counts[lo]))
 
     def select(self, bit: int, k: int) -> int:
         """Dispatching select for bit ``b``."""
@@ -282,13 +364,14 @@ class BitVector(DerivedState):
         return self._n
 
     def overhead_in_bits(self) -> int:
-        """Rank-directory overhead (one 64-bit counter per word here).
+        """Rank-directory overhead: exactly what is stored beside the words.
 
-        A production-grade C implementation would use two-level counters for
-        o(n) overhead; we report our actual directory so space totals remain
-        honest, and experiments report payload and overhead separately.
+        One 16-bit count per word plus one (``n / 4`` bits) and one 64-bit
+        count per 2**16-bit block. The word counts keep this at a quarter
+        of the payload rather than the paper's o(n); experiments report
+        payload and overhead separately.
         """
-        return int(self._rank_dir.size) * 64
+        return 64 * int(self._blocks.size) + 16 * int(self._counts.size)
 
     def __repr__(self) -> str:
         return f"BitVector(n={self._n}, ones={self._ones})"
@@ -296,7 +379,7 @@ class BitVector(DerivedState):
     # -- buffer-backed storage ---------------------------------------------
 
     def export_storage(self) -> StorageBundle:
-        """Scalars plus the packed words *and* the rank directory.
+        """Scalars plus the packed words *and* both directory levels.
 
         The directory travels with the words so attaching never recomputes
         popcounts (and never allocates anything proportional to ``n``).
@@ -304,18 +387,38 @@ class BitVector(DerivedState):
         return StorageBundle(
             kind="BitVector",
             meta={"n": self._n, "ones": self._ones},
-            arrays={"words": self._words, "rank_dir": self._rank_dir},
+            arrays={
+                "words": self._words,
+                "blocks": self._blocks,
+                "counts": self._counts,
+            },
         )
 
     @classmethod
     def attach_storage(cls, bundle: StorageBundle) -> "BitVector":
-        """Rebuild from a bundle; the arrays are adopted as-is (no copies)."""
+        """Rebuild from a bundle; the arrays are adopted as-is (no copies).
+
+        A bundle written before the two-level directory (segment format 1)
+        carries one int64 ``rank_dir`` entry per word instead; it is split
+        once here, the only load that allocates O(words).
+        """
         bv = cls.__new__(cls)
-        bv._words = expected_array(bundle, "words", "uint64")
-        bv._rank_dir = expected_array(bundle, "rank_dir", "int64")
+        words = bv._words = expected_array(bundle, "words", "uint64")
         bv._n = int(bundle.meta["n"])
-        bv._ones = int(bundle.meta["ones"])
-        if bv._rank_dir.size != bv._words.size + 1 or int(bv._rank_dir[-1]) != bv._ones:
+        ones = bv._ones = int(bundle.meta["ones"])
+        if "rank_dir" in bundle.arrays:
+            bv._blocks, bv._counts = _split_directory(
+                expected_array(bundle, "rank_dir", "int64")
+            )
+        else:
+            bv._blocks = expected_array(bundle, "blocks", "int64")
+            bv._counts = expected_array(bundle, "counts", "uint16")
+        blocks, counts = bv._blocks, bv._counts
+        if (
+            counts.size != words.size + 1
+            or blocks.size != ((counts.size - 1) >> _BLOCK_SHIFT) + 1
+            or int(blocks[-1]) + int(counts[-1]) != ones
+        ):
             raise InvalidParameterError("corrupt BitVector bundle header")
         bv._derive()
         return bv

@@ -66,9 +66,14 @@ class IndexCounter:
 
     def __init__(self, index, max_states: Optional[int] = 4096):
         self._index = index
-        self._planner = planner_for(index, max_states=max_states)
-        self._whole_stats = EngineStats()
+        # One set of counters, behind one lock, for both sides: a sharded
+        # estimator has a planner yet certifies through its fan-out (step 2
+        # of the rule).
+        self._stats = EngineStats()
         self._lock = threading.RLock()
+        self._planner = planner_for(
+            index, max_states=max_states, stats=self._stats, lock=self._lock
+        )
         caps = None if self._planner is None else self._planner.capabilities
         if caps is not None and caps.lower_sided:
             self._certify: Optional[str] = _PLANNER
@@ -95,11 +100,9 @@ class IndexCounter:
 
     @property
     def stats(self) -> EngineStats:
-        """Engine work counters: the planner's, or the whole-pattern
-        side's for an index without an automaton view."""
-        if self._planner is not None:
-            return self._planner.stats
-        return self._whole_stats
+        """Engine work counters, one set that the planner and the
+        whole-pattern side both write (the planner's own ``stats``)."""
+        return self._stats
 
     def clear(self) -> None:
         """Drop the planner's state cache and result memo."""
@@ -157,9 +160,9 @@ class IndexCounter:
         if not isinstance(pattern, str) or not pattern:
             raise PatternError("pattern must be a non-empty string")
         with self._lock:
-            self._whole_stats.patterns += 1
+            self._stats.patterns += 1
             if deadline is not None:
-                self._whole_stats.deadline_checks += 1
+                self._stats.deadline_checks += 1
                 deadline.check()
             call = getattr(self._index, method)
             if self._index.accepts_deadline:

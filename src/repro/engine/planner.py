@@ -71,7 +71,9 @@ class TrieBatchPlanner:
 
     ``max_states`` bounds the state cache (LRU); ``None`` means unbounded.
     ``stats`` lets callers share one counter across planners; by default
-    each planner owns a fresh :class:`EngineStats`.
+    each planner owns a fresh :class:`EngineStats`. ``lock`` is the lock
+    its calls run under (by default its own), so a caller that writes the
+    shared counter too can guard it with the same one.
     """
 
     def __init__(
@@ -80,6 +82,7 @@ class TrieBatchPlanner:
         *,
         max_states: Optional[int] = 4096,
         stats: Optional[EngineStats] = None,
+        lock: Optional[threading.RLock] = None,
     ):
         if not isinstance(automaton, BackwardSearchAutomaton):
             raise InvalidParameterError(
@@ -91,7 +94,7 @@ class TrieBatchPlanner:
         self._automaton = automaton
         self._caps = automaton.capabilities()
         self._max_states = max_states
-        self._lock = threading.RLock()
+        self._lock = lock if lock is not None else threading.RLock()
         #: suffix string -> automaton state (None = dead), LRU order.
         self._states: "OrderedDict[str, Optional[Hashable]]" = OrderedDict()
         #: pattern -> finalised value (None = dead state); never evicted.

@@ -198,6 +198,11 @@ class HotPatternTier:
         lo = max(0, int(entry.verified_count) - sub)
         return lo, hi
 
+    def _fingerprint(self, pattern: str, entry) -> int:
+        """``pattern``'s fingerprint: the one its top-k entry keeps when it
+        is monitored, else computed (one pass over its characters)."""
+        return entry.fingerprint if entry is not None else self._kr.fingerprint(pattern)
+
     def lookup(self, pattern: str) -> Optional[HotAnswer]:
         """Answer from the store, or None to fall through to the ladder.
 
@@ -228,7 +233,7 @@ class HotPatternTier:
                         hi, lo, hi, ErrorModel.UPPER_BOUND, "stale", self._epoch
                     )
             if self._answers is not None and plen <= self._max_len:
-                fp = self._kr.fingerprint(pattern)
+                fp = self._fingerprint(pattern, entry)
                 freq = self._freq.estimate(fp)
                 if freq >= self._warm_min:
                     retry = (
@@ -296,10 +301,11 @@ class HotPatternTier:
         if not pattern:
             return
         with self._lock:
-            fp = self._kr.fingerprint(pattern)
+            entry = self._table.get(pattern)
+            fp = self._fingerprint(pattern, entry)
             self._freq.add(fp)
             if model is not ErrorModel.EXACT:
-                if self._table.get(pattern) is None:
+                if entry is None:
                     freq = self._freq.estimate(fp)
                     if (
                         freq >= self._warm_min
@@ -309,14 +315,13 @@ class HotPatternTier:
                         # The ladder could not verify this warm pattern;
                         # admit it unverified so the next lookup serves
                         # the sketch bound instead of declining again.
-                        self._table.admit(pattern, freq)
+                        self._table.admit(pattern, freq, fp)
                         self.stats.evictions = self._table.evictions
                 return
-            entry = self._table.get(pattern)
             if entry is None:
                 freq = self._freq.estimate(fp)
                 before = len(self._table)
-                entry = self._table.admit(pattern, freq)
+                entry = self._table.admit(pattern, freq, fp)
                 if entry is None:
                     return
                 if len(self._table) != before or self._table.evictions:
@@ -340,7 +345,7 @@ class HotPatternTier:
         if not pattern:
             return
         with self._lock:
-            self._freq.add(self._kr.fingerprint(pattern))
+            self._freq.add(self._fingerprint(pattern, self._table.get(pattern)))
 
     def note_shed_upgrade(self) -> None:
         with self._lock:
@@ -440,5 +445,10 @@ class HotPatternTier:
             }
             if self._answers is not None:
                 components["answer_sketch"] = self._answers.space_bits()
-            overhead = {"fingerprint_state": 2 * 64}
+            # Each entry also keeps its pattern's fingerprint, which is
+            # derived from the pattern, so it counts as overhead.
+            overhead = {
+                "fingerprint_state": 2 * 64,
+                "entry_fingerprints": 64 * len(self._table),
+            }
             return SpaceReport("hot", components=components, overhead=overhead)

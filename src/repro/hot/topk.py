@@ -31,6 +31,9 @@ class HotEntry:
     pattern: str
     #: Space-Saving frequency estimate (>= true arrivals since admission).
     hits: int
+    #: The pattern's Karp–Rabin fingerprint, kept so a monitored pattern's
+    #: sketch probes never recompute it.
+    fingerprint: int
     #: Overestimate bound inherited from the evicted minimum.
     overestimate: int = 0
     #: Ladder-verified exact occurrence count (None until verified).
@@ -119,11 +122,12 @@ class SpaceSavingTable:
     def would_admit(self, freq: int) -> bool:
         return len(self._entries) < self._capacity or freq > self._min
 
-    def admit(self, pattern: str, freq: int) -> Optional[HotEntry]:
+    def admit(self, pattern: str, freq: int, fingerprint: int) -> Optional[HotEntry]:
         """Insert ``pattern``, evicting the minimum if it must and may.
 
         Returns the (possibly pre-existing) entry, or None when the
         table is full and ``freq`` does not beat the current minimum.
+        A new entry keeps ``fingerprint``.
         """
         entry = self._entries.get(pattern)
         if entry is not None:
@@ -133,7 +137,7 @@ class SpaceSavingTable:
             hits = max(1, int(freq))
             if not self._entries or hits < self._min:
                 self._min = hits
-            entry = HotEntry(pattern, hits=hits)
+            entry = HotEntry(pattern, hits=hits, fingerprint=fingerprint)
             self._entries[pattern] = entry
             levels[hits] = levels.get(hits, 0) + 1
             return entry
@@ -145,7 +149,9 @@ class SpaceSavingTable:
         victim = next(e for e in self._entries.values() if e.hits == floor)
         del self._entries[victim.pattern]
         self.evictions += 1
-        entry = HotEntry(pattern, hits=floor + 1, overestimate=floor)
+        entry = HotEntry(
+            pattern, hits=floor + 1, overestimate=floor, fingerprint=fingerprint
+        )
         self._entries[pattern] = entry
         left = levels[floor] - 1
         if left:

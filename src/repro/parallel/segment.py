@@ -48,7 +48,11 @@ from ..core import cpst as _cpst  # noqa: F401
 from ..baselines import fm as _fm  # noqa: F401
 
 SEGMENT_MAGIC = b"REPROSEG"
-SEGMENT_VERSION = 1
+#: Version 2 stores each bitvector's two-level rank directory (``blocks``
+#: and ``counts``); version 1 stored one int64 ``rank_dir`` entry per word
+#: and still attaches (the bitvector splits it on load).
+SEGMENT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 _FIXED_HEADER = len(SEGMENT_MAGIC) + 2 + 8 + 32 + 6  # = 56, a multiple of 8
 ALIGNMENT = 8
 
@@ -176,7 +180,7 @@ class Segment:
                 f"{bytes(view[:len(SEGMENT_MAGIC)])!r})"
             )
         version = int.from_bytes(view[8:10], "big")
-        if version != SEGMENT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise IndexCorruptedError(f"unsupported segment version {version}")
         header_len = int.from_bytes(view[10:18], "big")
         digest = bytes(view[18:50])

@@ -117,7 +117,7 @@ def test_pickle_state_keeps_the_slotted_shape():
 
 
 BIT_CASES = [(0, 0.5), (1, 1.0), (63, 0.5), (64, 0.1), (65, 0.9),
-             (128, 0.0), (1000, 0.05), (4097, 0.7)]
+             (128, 0.0), (1000, 0.05), (4097, 0.7), (65_537, 0.5)]
 
 
 @pytest.mark.parametrize("n,p", BIT_CASES)

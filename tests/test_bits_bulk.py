@@ -27,7 +27,8 @@ from repro.bits import (
 from repro.parallel import Segment, SegmentWriter
 
 # Randomized trials: (size, density, seed) — word boundaries (64, 128),
-# RRR block/superblock boundaries (15, 480), empty and all-same inputs.
+# RRR block/superblock boundaries (15, 480), the plain bitvector's
+# 2**16-bit directory blocks, empty and all-same inputs.
 BIT_CASES = [
     (0, 0.5, 1),
     (1, 1.0, 2),
@@ -39,6 +40,8 @@ BIT_CASES = [
     (480, 0.5, 8),
     (1000, 0.05, 9),
     (4097, 0.7, 10),
+    (65_537, 0.5, 11),
+    (200_003, 0.01, 12),
 ]
 
 

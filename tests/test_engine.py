@@ -14,6 +14,8 @@ certification rule.
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager, nullcontext
 
 import pytest
@@ -547,6 +549,45 @@ def test_counter_certifies_sharded_through_the_fanout(corpus):
     assert counter.planner.stats.automaton_starts == 0  # fan-out, not planner
     estimator.quarantine_shard(plan.names[0], "test")
     assert counter.count_or_none_many(patterns) == [None] * len(patterns)
+
+
+def test_counter_stats_exact_under_concurrent_planner_and_fanout_calls(corpus):
+    """A sharded counter's ``count`` walks the planner and its
+    ``count_or_none`` goes through the fan-out; both write the one
+    ``stats`` under one lock, so with more threads than cores and a short
+    switch interval every call is counted exactly once."""
+    from repro.shard import ShardPlan, build_sharded
+    from repro.textutil import ROW_SEPARATOR
+
+    _, text, _ = corpus
+    rows = [text.raw[i : i + 400] for i in range(0, 1600, 400)]
+    estimator, _ = build_sharded(ShardPlan.for_rows(rows, 2), "cpst", 8)
+    counter = IndexCounter(estimator)
+    patterns = [
+        p
+        for p in mixed_workload(
+            Text.from_rows(rows), lengths=(1, 2, 3), per_length=6, seed=9
+        )
+        if ROW_SEPARATOR not in p
+    ]
+
+    def client():
+        for pattern in patterns:
+            counter.count(pattern)
+            counter.count_or_none(pattern)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert counter.stats.patterns == 6 * 2 * len(patterns)
 
 
 def test_counter_certifies_own_count_or_none_and_exact(corpus):

@@ -120,14 +120,14 @@ class TestCountMinSketch:
 class TestSpaceSavingTable:
     def test_fills_then_evicts_minimum(self):
         table = SpaceSavingTable(2)
-        a = table.admit("aa", 1)
-        b = table.admit("bb", 1)
+        a = table.admit("aa", 1, fingerprint=0)
+        b = table.admit("bb", 1, fingerprint=0)
         assert a is not None and b is not None
         for _ in range(5):
             table.hit("aa")
         # Full table: a newcomer must beat the minimum to get in.
-        assert table.admit("cc", 1) is None
-        entry = table.admit("cc", table.min_hits() + 3)
+        assert table.admit("cc", 1, fingerprint=0) is None
+        entry = table.admit("cc", table.min_hits() + 3, fingerprint=0)
         assert entry is not None
         assert "bb" not in table
         # Space-Saving inheritance: hits = victim + 1, overestimate = victim.
@@ -138,7 +138,7 @@ class TestSpaceSavingTable:
     def test_would_admit_tracks_minimum(self):
         table = SpaceSavingTable(1)
         assert table.would_admit(1)
-        table.admit("xx", 4)
+        table.admit("xx", 4, fingerprint=0)
         assert not table.would_admit(4)
         assert table.would_admit(5)
 
@@ -149,7 +149,7 @@ class TestSpaceSavingTable:
         rng.shuffle(stream)
         for pattern in stream:
             if table.hit(pattern) is None:
-                table.admit(pattern, 1)
+                table.admit(pattern, 1, fingerprint=0)
         assert "hot" in table
         entry = table.get("hot")
         # The estimate over-approximates but is bounded by the classic

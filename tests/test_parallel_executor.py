@@ -237,7 +237,9 @@ class TestZeroCopyTelemetry:
         # protocol-sized bookkeeping, never a copy of the payload: the
         # per-worker attach allocation stays far below the segment size.
         random.seed(5)
-        text = "".join(random.choice("acgt") for _ in range(120_000))
+        # 200,000 symbols keep the segment above 60,000 bytes with the
+        # two-level rank directory (120,000 gave 45,424).
+        text = "".join(random.choice("acgt") for _ in range(200_000))
         fm = FMIndex(text)
         estimator = ProcessShardedEstimator.from_estimators([("s0", fm)])
         with estimator:

@@ -5,17 +5,29 @@ before the bit structures kept derived state (memoryviews, the wavelet
 matrix's bucket table). Their pickles carry the plain slotted state
 ``(None, {slot: value})``; loading must rebuild the derived state and
 answer exactly like a fresh build over the same text.
+
+Both the ``.ridx`` pickles and ``tests/fixtures/english5000_*.seg``
+(written with :func:`write_estimator_segment` as segment format 1) store
+each bitvector's rank directory as one int64 count per word. Loading
+splits it into the two-level directory, so the loaded index reports the
+same overhead as a fresh build and exports the same segment bytes. A
+two-level bundle whose arrays disagree with each other or with its
+``ones`` is still refused as corrupt.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import ApproxIndex, CompactPrunedSuffixTree
+from repro.bits import BitVector, StorageBundle
 from repro.datasets import generate
+from repro.errors import InvalidParameterError
 from repro.io import load_index
+from repro.parallel import Segment, write_estimator_segment
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TEXT = generate("english", 5000)
@@ -41,3 +53,52 @@ def test_saved_index_answers_like_a_fresh_build(filename, build):
         assert loaded.count(pattern) == fresh.count(pattern), pattern
         if isinstance(fresh, CompactPrunedSuffixTree):
             assert loaded.count_or_none(pattern) == fresh.count_or_none(pattern), pattern
+
+
+BUILDS = {
+    "cpst8": lambda: CompactPrunedSuffixTree(TEXT, 8),
+    "apx8": lambda: ApproxIndex(TEXT, 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_legacy_directories_load_as_a_fresh_build(kind):
+    fresh = BUILDS[kind]()
+    blob = (FIXTURES / f"english5000_{kind}.seg").read_bytes()
+    assert int.from_bytes(blob[8:10], "big") == 1
+    attached = Segment.parse(blob).attach("index")
+    assert type(attached) is type(fresh)
+    for pattern in PATTERNS:
+        assert attached.count(pattern) == fresh.count(pattern), pattern
+        if isinstance(fresh, CompactPrunedSuffixTree):
+            assert attached.count_or_none(pattern) == fresh.count_or_none(pattern), pattern
+    pickled = load_index(FIXTURES / f"english5000_{kind}.ridx", strict=True)
+    for loaded in (attached, pickled):
+        assert loaded.space_report().overhead_bits == fresh.space_report().overhead_bits
+        assert write_estimator_segment(loaded, kind) == write_estimator_segment(
+            fresh, kind
+        )
+
+
+def _tampered(bundle, **arrays):
+    return StorageBundle(
+        kind=bundle.kind, meta=dict(bundle.meta), arrays={**bundle.arrays, **arrays}
+    )
+
+
+def test_inconsistent_directory_bundles_are_refused():
+    bundle = BitVector(np.random.default_rng(2).random(70_000) < 0.3).export_storage()
+    counts, blocks = bundle.arrays["counts"], bundle.arrays["blocks"]
+    last_off = counts.copy()
+    last_off[-1] += 1
+    block_off = blocks.copy()
+    block_off[-1] += 1
+    for bad in (
+        _tampered(bundle, counts=counts[:-1]),
+        _tampered(bundle, counts=last_off),
+        _tampered(bundle, blocks=blocks[:-1]),
+        _tampered(bundle, blocks=block_off),
+    ):
+        with pytest.raises(InvalidParameterError, match="corrupt"):
+            BitVector.attach_storage(bad)
+    assert BitVector.attach_storage(bundle).num_ones == bundle.meta["ones"]

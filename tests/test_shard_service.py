@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.service.server import QueryServer
 from repro.service.watchdog import CorruptionWatchdog, probes_from_text
 from repro.shard import MergePolicy, ShardPlan, build_sharded_ladder
 from repro.textutil import ROW_SEPARATOR, Text
@@ -197,3 +198,24 @@ class TestMergePolicyThroughLadder:
             outcome = service.query(pattern)
             truth = mono.count_naive(pattern)
             assert outcome.contract_holds(truth, len(mono))
+
+
+class TestCertifiedFanoutEngineWork:
+    def test_fanout_answer_carries_its_counter_work(self, setting):
+        # The certified sharded CPST tier answers through the fan-out's
+        # own count_or_none, never its product-automaton planner; the
+        # answer still reports that call. The per-shard steps stay in
+        # each shard slot's counter.
+        _plan, service, _mono, probes = setting
+        pattern = next(p for p, truth in sorted(probes.items()) if truth >= L)
+        server = QueryServer(service)
+        try:
+            outcome = server.query(pattern)
+        finally:
+            server.close()
+        assert outcome.tier == "cpst-sharded"
+        assert outcome.count == probes[pattern]
+        assert outcome.engine.patterns == 1
+        tier = service.tiers[0]
+        assert tier.engine_stats is tier._counter.planner.stats
+        assert tier.engine_stats.patterns == 1
