@@ -241,18 +241,6 @@ class WaveletMatrix(DerivedState):
         pos = self._buckets[s] + k - 1
         return self._ascend(c, pos) if pos < self._buckets[s + 1] else -1
 
-    def select_pair(self, c: int, j: int, k: int) -> Tuple[int, int]:
-        """``(select(c, j), select(c, k))`` sharing one bucket lookup."""
-        if not 0 <= c < len(self._slot):
-            return -1, -1
-        s = self._slot[c]
-        start = self._buckets[s]
-        count = self._buckets[s + 1] - start
-        return (
-            self._ascend(c, start + j - 1) if 1 <= j <= count else -1,
-            self._ascend(c, start + k - 1) if 1 <= k <= count else -1,
-        )
-
     def to_array(self) -> np.ndarray:
         """Decode the full sequence (test helper; O(n log sigma))."""
         return np.fromiter(

@@ -26,6 +26,11 @@ predecessor/successor queries and — via the paper's Fact 1 — the LF-steps::
 
     LF(d) = C[c] + min((p-1)*h, n_c - 1)      (p = rank of d within D_c)
 
+``B`` is stored as the ``#``-free string ``B′`` (one symbol per
+discriminant, so ``V`` is indexed by position in ``B′``) plus a bitvector
+``ends`` marking where each ``#`` stood (:mod:`repro.core.delimited`), so
+a block boundary is one bitvector select instead of one per level.
+
 Departures from the paper's text are deliberate and documented in DESIGN.md:
 0-based discriminant ranks (making Fact 1 exact), multiset blocks (the last
 occurrence may share a block with the preceding sample), block index
@@ -41,12 +46,12 @@ import numpy as np
 from ..bits import (
     IntVector,
     StorageBundle,
-    WaveletMatrix,
     attach_structure,
     bits_needed,
     register_structure,
 )
 from ..core.interface import ErrorModel, OccurrenceEstimator
+from ..core.delimited import attach_delimited, split_delimited
 from ..engine import (
     AutomatonCapabilities,
     BackwardSearchAutomaton,
@@ -130,7 +135,8 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         return sets
 
     def _build_discriminant_encoding(self, bwt: np.ndarray) -> None:
-        """Construct the block string B and the offset array V."""
+        """Construct the block string B (as B′ and ends) and the offset
+        array V."""
         h = self._h
         hash_sym = self._sigma  # '#' terminator, one past the alphabet
         entries = [
@@ -152,14 +158,11 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
                 cursor += 1
             b_symbols.append(hash_sym)
         self._num_discriminants = len(entries)
-        self._b = WaveletMatrix(
-            np.asarray(b_symbols, dtype=np.int64), sigma=self._sigma + 1
-        )
+        self._b, self._ends = split_delimited(b_symbols, hash_sym)
         self._v = IntVector.from_array(
             np.asarray(v_offsets, dtype=np.int64),
             width=bits_needed(max(0, h - 1)),
         )
-        self._hash_sym = hash_sym
 
     # -- interface ----------------------------------------------------------
 
@@ -290,18 +293,17 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     # -- D_c machinery (paper Lemma 2 / Fact 1) ------------------------------
 
-    def _hash_position(self, k: int) -> int:
-        """End position (exclusive) of block ``k-1``'s encoding in B."""
-        if k == 0:
-            return 0
-        return self._b.select(self._hash_sym, k)
+    def _block_start(self, k: int) -> int:
+        """Position in B′ where block ``k``'s discriminants begin:
+        ``select_#(B, k) - (k - 1)``, i.e. ``ends.select1(k) - k + 1``
+        (``select1(0)`` is -1, so block 0 starts at 0)."""
+        return self._ends.select1(k) - k + 1
 
     def _discriminant_position(self, c: int, p: int) -> int:
         """BWT position of the p-th (1-based) discriminant of symbol ``c``."""
-        j = self._b.select(c, p)
-        block = self._b.rank(self._hash_sym, j)
-        v_index = j - block  # strip the '#' separators preceding j
-        return block * self._h + self._v[v_index]
+        j = self._b.select(c, p)  # also its offset's index in V
+        block = self._ends.select0(j + 1) - j  # the '#'s before it in B
+        return block * self._h + self._v[j]
 
     def _successor(self, c: int, x: int) -> Optional[Tuple[int, int]]:
         """Smallest discriminant of ``c`` at position >= x, with its rank."""
@@ -309,7 +311,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         if total == 0:
             return None
         block = x // self._h
-        p = self._b.rank(c, self._hash_position(block)) + 1
+        p = self._b.rank(c, self._block_start(block)) + 1
         # At most two discriminants of one symbol share a block (a sample
         # plus the appended last occurrence), so this loop is O(1).
         while p <= total:
@@ -322,7 +324,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
     def _predecessor(self, c: int, x: int) -> Optional[Tuple[int, int]]:
         """Largest discriminant of ``c`` at position <= x, with its rank."""
         block = x // self._h
-        p = self._b.rank(c, self._hash_position(block + 1))
+        p = self._b.rank(c, self._block_start(block + 1))
         while p >= 1:
             d = self._discriminant_position(c, p)
             if d <= x:
@@ -342,23 +344,19 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         n_c = int(self._c[c + 1] - self._c[c])
         return int(self._c[c]) + np.minimum((ps - 1) * self._h, n_c - 1)
 
-    def _hash_position_many(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_hash_position` (``k == 0`` maps to 0)."""
-        out = np.zeros(ks.shape, dtype=np.int64)
-        nonzero = ks > 0
-        if nonzero.any():
-            out[nonzero] = self._b.select_many(self._hash_sym, ks[nonzero])
-        return out
+    def _block_start_many(self, ks: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`_block_start` (``k == 0`` maps to 0)."""
+        return self._ends.select1_many(ks) - ks + 1
 
     def _discriminant_position_many(self, c: int, ps: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`_discriminant_position` (all ``ps`` valid)."""
         j = self._b.select_many(c, ps)
-        block = self._b.rank_many(self._hash_sym, j)
-        return block * self._h + self._v.get_many(j - block)
+        block = self._ends.select0_many(j + 1) - j
+        return block * self._h + self._v.get_many(j)
 
     def _successor_many(self, c: int, xs: np.ndarray, total: int):
         """Vectorised :meth:`_successor`: ``(p, d, found)`` arrays."""
-        p = self._b.rank_many(c, self._hash_position_many(xs // self._h)) + 1
+        p = self._b.rank_many(c, self._block_start_many(xs // self._h)) + 1
         d = np.full(xs.shape, -1, dtype=np.int64)
         ok = p <= total
         if ok.any():
@@ -375,7 +373,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     def _predecessor_many(self, c: int, xs: np.ndarray):
         """Vectorised :meth:`_predecessor`: ``(p, d, found)`` arrays."""
-        p = self._b.rank_many(c, self._hash_position_many(xs // self._h + 1))
+        p = self._b.rank_many(c, self._block_start_many(xs // self._h + 1))
         d = np.full(xs.shape, -1, dtype=np.int64)
         ok = p >= 1
         if ok.any():
@@ -397,23 +395,28 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         return SpaceReport(
             name=f"APX-{self._l}",
             components={
-                "B_block_string": self._b.size_in_bits(),
+                "B_block_string": self._b.size_in_bits() + self._ends.size_in_bits(),
                 "V_offsets": self._v.size_in_bits(),
                 "C_array": c_bits,
             },
-            overhead={"B_directories": self._b.overhead_in_bits()},
+            overhead={
+                "B_directories": (
+                    self._b.overhead_in_bits() + self._ends.overhead_in_bits()
+                )
+            },
         )
 
     # -- buffer-backed storage ---------------------------------------------
 
     def export_storage(self) -> StorageBundle:
-        """Scalars plus the B/V discriminant encoding as child bundles."""
+        """Scalars plus the B′/ends/V discriminant encoding as child bundles."""
         return StorageBundle(
             kind="ApproxIndex",
             meta=self._storage_meta(),
             arrays={"c": np.ascontiguousarray(self._c, dtype=np.int64)},
             children={
                 "b": self._b.export_storage(),
+                "ends": self._ends.export_storage(),
                 "v": self._v.export_storage(),
             },
         )
@@ -442,13 +445,22 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     @classmethod
     def attach_storage(cls, bundle: StorageBundle) -> "ApproxIndex":
-        """Rebuild from a bundle without copying any packed array."""
+        """Rebuild from a bundle without copying any packed array (a
+        bundle written with ``#`` inline in ``B`` is split once)."""
         inst = cls.__new__(cls)
         inst._attach_scalars(bundle)
-        inst._b = attach_structure(bundle.children["b"])
+        blocks = (inst._n_rows + inst._h - 1) // inst._h
+        inst._b, inst._ends = attach_delimited(bundle, "b", inst._sigma, blocks)
         inst._v = attach_structure(bundle.children["v"])
-        inst._hash_sym = inst._sigma
         return inst
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickled with '#' inline in B (``.ridx`` files, live-corpus
+        # recovery files): split it once.
+        hash_sym = state.pop("_hash_sym", None)
+        self.__dict__.update(state)
+        if hash_sym is not None:
+            self._b, self._ends = split_delimited(self._b.to_array(), hash_sym)
 
     def __repr__(self) -> str:
         return (

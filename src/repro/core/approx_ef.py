@@ -63,9 +63,6 @@ class ApproxIndexEF(ApproxIndex):
     def _discriminant_position(self, c: int, p: int) -> int:
         return int(self._positions[c][p - 1])
 
-    def _hash_position(self, k: int) -> int:  # pragma: no cover - not used here
-        raise NotImplementedError("the EF variant has no block string")
-
     # -- space ---------------------------------------------------------------
 
     def space_report(self) -> SpaceReport:

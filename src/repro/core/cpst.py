@@ -15,6 +15,9 @@ Three components survive from the construction-time tree (paper Theorem 8):
   the symbols ``c`` for which ``ISL(u, c)`` exists, terminated by ``#``.
   Theorem 9 turns two rank/select queries on ``S`` into the *virtual*
   inverse suffix link evaluation that drives backward search (Figure 6).
+  ``S`` is stored as the ``#``-free string ``S′`` plus a bitvector
+  ``ends`` marking where each ``#`` stood (:mod:`repro.core.delimited`),
+  so ``select_#`` is one bitvector select instead of one per level.
 * ``G`` — the correction factors ``g(u)`` in preorder, conceptually the
   unary string ``0^g(0) 1 0^g(1) 1 …`` with binary select (paper Lemma 3/4).
   We store the equivalent Elias–Fano encoding of the prefix sums — the same
@@ -36,12 +39,12 @@ import numpy as np
 from ..bits import (
     EliasFano,
     StorageBundle,
-    WaveletMatrix,
     attach_structure,
     bits_needed,
     register_structure,
 )
 from ..core.interface import ErrorModel, OccurrenceEstimator
+from ..core.delimited import attach_delimited, split_delimited
 from ..engine import (
     AutomatonCapabilities,
     BackwardSearchAutomaton,
@@ -90,15 +93,12 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         self._text_length = len(text)
         self._m = structure.num_nodes
         self._c = structure.symbol_counts  # length sigma+1
-        hash_sym = self._sigma
+        hash_sym = self._sigma  # '#' terminator, one past the alphabet
         s_symbols: list[int] = []
         for node in structure.nodes:
             s_symbols.extend(node.isl_symbols)
             s_symbols.append(hash_sym)
-        self._s = WaveletMatrix(
-            np.asarray(s_symbols, dtype=np.int64), sigma=self._sigma + 1
-        )
-        self._hash_sym = hash_sym
+        self._s, self._ends = split_delimited(s_symbols, hash_sym)
         g = structure.correction_factors()
         cumulative = np.cumsum(g)
         self._g_prefix = EliasFano(cumulative, universe=int(cumulative[-1]) + 1)
@@ -171,12 +171,15 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     def _step_state(self, state: Tuple[int, int], c: int) -> Optional[Tuple[int, int]]:
         # Theorem 9 at both ends of the node range: c_u and c_z count the
         # inverse suffix links for c in nodes [0, u) and [0, z], i.e.
-        # rank_c(S, select_#(S, k)) for k = u and k = z + 1 (u >= 1: the
-        # root is never a search state). Both selects ascend from the #
-        # bucket and both ranks walk down c's bit-planes together.
+        # rank_c(S, select_#(S, k)) = rank_c(S′, ends.select1(k) - k + 1)
+        # for k = u and k = z + 1 (u >= 1: the root is never a search
+        # state). One select on ends per end, then both ranks walk down
+        # c's bit-planes together.
         u, z = state
-        end_u, end_z = self._s.select_pair(self._hash_sym, u, z + 1)
-        c_u, c_z = self._s.rank_pair(c, end_u, end_z)
+        ends = self._ends
+        c_u, c_z = self._s.rank_pair(
+            c, ends.select1(u) - u + 1, ends.select1(z + 1) - z
+        )
         if c_u == c_z:
             return None  # VISL undefined: Count(P[i..]) < l
         base = self._c.item(c)
@@ -213,7 +216,8 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     def capabilities(self) -> AutomatonCapabilities:
         # One virtual-ISL step evaluates Theorem 9's rank_c(S, select_#(S, k))
         # at both ends of the node range: two selects plus two ranks on S,
-        # 4 logical operations (one bitvector op per level each).
+        # 4 logical operations (a select is one op on ends, a rank one
+        # bitvector op per level of S′).
         return AutomatonCapabilities(
             lower_sided=True, threshold=self._l, rank_ops_per_step=4
         )
@@ -222,7 +226,7 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         """Number of inverse suffix links for ``c`` in nodes ``[0, k)`` for
         every ``k >= 1`` (Theorem 9's ``rank_c(S, select_#(S, k))``; the
         root is never a search state, so every bound is at least 1)."""
-        return self._s.rank_many(c, self._s.select_many(self._hash_sym, ks))
+        return self._s.rank_many(c, self._ends.select1_many(ks) - ks + 1)
 
     def _cnt(self, u: int, z: int) -> int:
         """Paper Lemma 3: total correction factors over node ids [u, z]."""
@@ -237,12 +241,14 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         return SpaceReport(
             name=f"CPST-{self._l}",
             components={
-                "S_link_string": self._s.size_in_bits(),
+                "S_link_string": self._s.size_in_bits() + self._ends.size_in_bits(),
                 "G_corrections": self._g_prefix.size_in_bits(),
                 "C_array": c_bits,
             },
             overhead={
-                "S_directories": self._s.overhead_in_bits(),
+                "S_directories": (
+                    self._s.overhead_in_bits() + self._ends.overhead_in_bits()
+                ),
                 "G_directories": self._g_prefix.overhead_in_bits(),
             },
         )
@@ -250,8 +256,8 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
     # -- buffer-backed storage ---------------------------------------------
 
     def export_storage(self) -> StorageBundle:
-        """Describe the index as scalars + the S/G structures (zero-copy
-        attachable; see :mod:`repro.bits.storage`)."""
+        """Describe the index as scalars + the S′/ends/G structures
+        (zero-copy attachable; see :mod:`repro.bits.storage`)."""
         return StorageBundle(
             kind="CompactPrunedSuffixTree",
             meta={
@@ -259,19 +265,20 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
                 "sigma": self._sigma,
                 "text_length": self._text_length,
                 "m": self._m,
-                "hash_sym": self._hash_sym,
                 "characters": self._alphabet.characters,
             },
             arrays={"c": np.ascontiguousarray(self._c, dtype=np.int64)},
             children={
                 "s": self._s.export_storage(),
+                "ends": self._ends.export_storage(),
                 "g_prefix": self._g_prefix.export_storage(),
             },
         )
 
     @classmethod
     def attach_storage(cls, bundle: StorageBundle) -> "CompactPrunedSuffixTree":
-        """Rebuild from a bundle without copying any packed array."""
+        """Rebuild from a bundle without copying any packed array (a
+        bundle written with ``#`` inline in ``S`` is split once)."""
         inst = cls.__new__(cls)
         meta = bundle.meta
         inst._l = int(meta["l"])
@@ -279,11 +286,18 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
         inst._sigma = int(meta["sigma"])
         inst._text_length = int(meta["text_length"])
         inst._m = int(meta["m"])
-        inst._hash_sym = int(meta["hash_sym"])
         inst._c = bundle.arrays["c"]
-        inst._s = attach_structure(bundle.children["s"])
+        inst._s, inst._ends = attach_delimited(bundle, "s", inst._sigma, inst._m)
         inst._g_prefix = attach_structure(bundle.children["g_prefix"])
         return inst
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickled with '#' inline in S (``.ridx`` files, live-corpus
+        # recovery files): split it once.
+        hash_sym = state.pop("_hash_sym", None)
+        self.__dict__.update(state)
+        if hash_sym is not None:
+            self._s, self._ends = split_delimited(self._s.to_array(), hash_sym)
 
     def __repr__(self) -> str:
         return (

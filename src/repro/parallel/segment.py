@@ -15,9 +15,9 @@ Layout (all integers big-endian, mirroring the ``io.py`` framings)::
 The fixed part is 56 bytes — a multiple of 8, like the v3 artifact
 framing — so every relocation offset measured from the start of the blob
 is also 8-aligned. The header digest covers the JSON bytes; the header
-itself carries ``payload_digest`` over the payload region, so
-:meth:`Segment.parse` with ``verify=True`` detects any flipped bit before
-a worker ever dereferences a view.
+itself carries ``payload_digest`` over the payload region and repeats the
+version as ``format``, so :meth:`Segment.parse` with ``verify=True``
+detects any flipped bit before a worker ever dereferences a view.
 
 Attaching never copies: :meth:`Segment.bundle` materialises read-only
 ``np.frombuffer`` views into the caller's buffer (shared memory, an mmap,
@@ -48,11 +48,14 @@ from ..core import cpst as _cpst  # noqa: F401
 from ..baselines import fm as _fm  # noqa: F401
 
 SEGMENT_MAGIC = b"REPROSEG"
-#: Version 2 stores each bitvector's two-level rank directory (``blocks``
-#: and ``counts``); version 1 stored one int64 ``rank_dir`` entry per word
-#: and still attaches (the bitvector splits it on load).
-SEGMENT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+#: Version 3 stores the CPST's link string and the APX's block string
+#: without their ``#`` delimiters, beside an ``ends`` bitvector; versions
+#: 1 and 2 held the ``#``s inline and still attach (the index splits its
+#: string on load). Version 2 stores each bitvector's two-level rank
+#: directory (``blocks`` and ``counts``); version 1 stored one int64
+#: ``rank_dir`` entry per word (the bitvector splits it on load).
+SEGMENT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 _FIXED_HEADER = len(SEGMENT_MAGIC) + 2 + 8 + 32 + 6  # = 56, a multiple of 8
 ALIGNMENT = 8
 
@@ -203,6 +206,14 @@ class Segment:
             ) from None
         if not isinstance(header, dict):
             raise IndexCorruptedError("segment header is not a JSON object")
+        if header.get("format") != version:
+            # The fixed-header version sits outside the header digest; the
+            # JSON's copy is inside it, so a flipped version is caught
+            # even where it lands on another readable one.
+            raise IndexCorruptedError(
+                f"segment version {version} disagrees with its header's "
+                f"format {header.get('format')!r}"
+            )
         try:
             payload_start = _align(header_end)
             payload_size = int(header["payload_size"])

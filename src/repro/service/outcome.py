@@ -81,6 +81,8 @@ class QueryOutcome:
     #: steps, rank operations, cache traffic, deadline checks) — the
     #: per-query delta of each tier's counters, not lifetime totals.
     #: ``None`` when served by a pre-engine caller that did not measure.
+    #: Outcomes no engine ran for (hot-rung hits) share one read-only
+    #: all-zero instance, :data:`repro.service.resilient.IDLE_ENGINE`.
     #: Under concurrent callers sharing a tier the delta is best-effort
     #: (it may include a neighbour's interleaved work).
     engine: Optional[EngineStats] = None

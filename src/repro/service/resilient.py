@@ -51,6 +51,12 @@ CANCELLED = "cancelled"
 FAILED = "failed"
 SATURATED = "saturated"
 
+#: The engine delta of an outcome no engine ran for (a hot-rung hit, or
+#: a tier whose counters did not move). Every such outcome shares this
+#: one all-zero instance, so a hit allocates none; it is read-only, and
+#: nothing mutates ``QueryOutcome.engine``.
+IDLE_ENGINE = EngineStats()
+
 
 def failure_reason(kind: str, value: object) -> str:
     """The ``failures`` entry for an attempt that did not answer."""
@@ -191,7 +197,7 @@ class ResilientEstimator:
                         attempts=attempts,
                         failures=failures,
                         engine=(
-                            EngineStats() if engine_total is None
+                            IDLE_ENGINE if engine_total is None
                             else engine_total
                         ),
                     )

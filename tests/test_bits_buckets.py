@@ -12,8 +12,9 @@ Pinned here:
 * the views die with the structure, so a retired generation's shared
   memory still closes;
 * ``Alphabet.code`` agrees with ``encode_pattern``;
-* a CPST step costs one bitvector rank and one select per level for
-  each end of its node range.
+* a CPST step costs one bitvector rank per level of ``S′`` and one
+  select on ``ends`` for each end of its node range; an APX step's block
+  boundaries are one select on ``ends`` each.
 """
 
 from __future__ import annotations
@@ -173,10 +174,9 @@ def test_alphabet_code_matches_encode_pattern():
         assert alphabet.code(unmapped) is None
 
 
-def test_cpst_step_costs_one_op_per_level_per_end(monkeypatch):
-    text = generate("english", 5000)
-    index = CompactPrunedSuffixTree(text, 8)
-    assert len(index._s._levels) == 6
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Scalar bitvector ranks and selects made since the last reset."""
     calls = {"rank": 0, "select": 0}
 
     def counting(name, kind):
@@ -191,8 +191,29 @@ def test_cpst_step_costs_one_op_per_level_per_end(monkeypatch):
     for name, kind in (("rank1", "rank"), ("rank0", "rank"),
                        ("select1", "select"), ("select0", "select")):
         counting(name, kind)
+    return calls
+
+
+def test_cpst_step_costs_one_op_per_level_per_end(kernel_calls):
+    text = generate("english", 5000)
+    index = CompactPrunedSuffixTree(text, 8)
+    assert len(index._s._levels) == 6
     state = index.start("e")
     assert state is not None
-    calls.update(rank=0, select=0)
+    kernel_calls.update(rank=0, select=0)
     assert index.step(state, "h") is not None
-    assert calls == {"rank": 12, "select": 12}
+    assert kernel_calls == {"rank": 12, "select": 2}
+
+
+def test_apx_step_selects_each_block_boundary_once(kernel_calls):
+    # Successor and predecessor each rank c up to a block boundary (one
+    # select1 on ends, one rank per level of B′) and place one
+    # discriminant (one select per level of B′, one select0 on ends).
+    text = generate("dblp", 5000)
+    index = ApproxIndex(text, 4)
+    assert len(index._b._levels) == 7
+    state = index.start("e")
+    assert state is not None
+    kernel_calls.update(rank=0, select=0)
+    assert index.step(state, "h") is not None
+    assert kernel_calls == {"rank": 14, "select": 18}

@@ -199,10 +199,10 @@ def _attach_readonly(matrix):
     "sigma,n,seed", [(2, 1, 1), (5, 300, 2), (21, 1000, 3), (64, 700, 4)]
 )
 def test_fused_pair_forms_match_naive(sigma, n, seed, compressed):
-    """``select_pair``/``rank_pair`` (one shared descent each) and the
-    scalar ``select``/``rank`` built on the same descent agree with a
-    naive scan, on built and on read-only attached storage, including
-    k = 0, k past the count and symbols outside the alphabet."""
+    """``rank_pair`` (one shared descent) and the scalar
+    ``select``/``rank`` agree with a naive scan, on built and on
+    read-only attached storage, including k = 0, k past the count and
+    symbols outside the alphabet."""
     rng = np.random.default_rng(seed)
     data = rng.integers(0, sigma, size=n)
     seq = data.tolist()
@@ -220,7 +220,6 @@ def test_fused_pair_forms_match_naive(sigma, n, seed, compressed):
             for j, k in zip(ks, reversed(ks)):
                 want = (naive_select(seq, c, j) if j >= 1 else -1,
                         naive_select(seq, c, k) if k >= 1 else -1)
-                assert wm.select_pair(c, j, k) == want, (c, j, k)
                 assert (wm.select(c, j), wm.select(c, k)) == want, (c, j, k)
             positions = rng.integers(0, n + 1, size=8).tolist() + [0, n]
             for i, j in zip(positions, reversed(positions)):
@@ -232,7 +231,6 @@ def test_fused_pair_forms_match_naive(sigma, n, seed, compressed):
 def test_fused_pair_forms_on_empty_matrix():
     wm = WaveletMatrix(np.array([], dtype=np.int64), sigma=4)
     for c in (0, 3, 4, -1):
-        assert wm.select_pair(c, 0, 1) == (-1, -1)
         assert wm.select(c, 1) == -1
         assert wm.rank_pair(c, 0, 0) == (0, 0)
     with pytest.raises(IndexError):

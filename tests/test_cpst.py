@@ -16,6 +16,7 @@ from repro.baselines.pst import PrunedSuffixTree
 from repro.core.cpst import CompactPrunedSuffixTree
 from repro.core.interface import ErrorModel
 from repro.errors import PatternError
+from repro.parallel import Segment, write_estimator_segment
 from repro.suffixtree.pruned import PrunedSuffixTreeStructure
 from repro.textutil import Text
 
@@ -122,8 +123,28 @@ class TestCPSTInternals:
             assert in_s == int(cpst._c[c + 1] - cpst._c[c]), c
 
     def test_s_has_one_hash_per_node(self):
-        cpst = CompactPrunedSuffixTree("banabananab", 2)
-        assert cpst._s.rank(cpst._hash_sym, len(cpst._s)) == cpst.num_nodes
+        # S is stored as S′ beside ends: ends holds one 1 per node (the
+        # '#' that closed its links) and one 0 per symbol of S′, and S′
+        # holds C[c+1] - C[c] copies of each c.
+        t = Text("banabananab")
+        cpst = CompactPrunedSuffixTree(t, 2)
+        assert cpst._ends.num_ones == cpst.num_nodes
+        assert cpst._ends.num_zeros == len(cpst._s)
+        for c in range(t.sigma):
+            assert cpst._s.count(c) == int(cpst._c[c + 1] - cpst._c[c]), c
+
+    def test_root_only_tree_round_trips(self):
+        # No substring of "banana" occurs 4 times: only the root is kept,
+        # so S′ is empty and ends is the root's single 1.
+        cpst = CompactPrunedSuffixTree("banana", 4)
+        assert cpst.num_nodes == 1 and len(cpst._s) == 0
+        assert cpst._ends.to_array().tolist() == [1]
+        blob = write_estimator_segment(cpst, "root")
+        attached = Segment.parse(blob).attach("index")
+        assert write_estimator_segment(attached, "root") == blob
+        for index in (cpst, attached):
+            for pattern in ("a", "an", "banana", "x"):
+                assert index.count_or_none(pattern) is None, pattern
 
     def test_cnt_matches_structure(self):
         text = "abracadabra" * 3

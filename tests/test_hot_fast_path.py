@@ -208,6 +208,16 @@ class TestEngineDeltas:
         assert isinstance(outcome.engine, EngineStats)
         assert outcome.engine == EngineStats()
 
+    def test_hot_hits_share_one_idle_engine_instance(self):
+        ladder = build_default_ladder(TEXT, L, deadline_seconds=5.0, hot=True)
+        with QueryServer(ladder) as server:
+            assert server.query("abracadabra").tier == "cpst"
+            first = server.query("abracadabra")
+            second = server.query("abracadabra")
+        assert first.tier == second.tier == "hot"
+        assert first.engine is second.engine
+        assert _nonzero(first.engine) == {}
+
 
 # ---------------------------------------------------------------------------
 # the call budget of a hot hit

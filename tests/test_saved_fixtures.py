@@ -13,6 +13,13 @@ splits it into the two-level directory, so the loaded index reports the
 same overhead as a fresh build and exports the same segment bytes. A
 two-level bundle whose arrays disagree with each other or with its
 ``ones`` is still refused as corrupt.
+
+All of these, and ``tests/fixtures/english5000_*.v2.seg`` (segment
+format 2, written by :func:`write_estimator_segment` before the split),
+hold the CPST's link string and the APX's block string with their ``#``
+delimiters inline. Loading splits each into the ``#``-free string and
+its ``ends`` bitvector, again matching a fresh build bit for bit. A
+bundle whose ``ends`` disagrees with its string is refused as corrupt.
 """
 
 from __future__ import annotations
@@ -102,3 +109,43 @@ def test_inconsistent_directory_bundles_are_refused():
         with pytest.raises(InvalidParameterError, match="corrupt"):
             BitVector.attach_storage(bad)
     assert BitVector.attach_storage(bundle).num_ones == bundle.meta["ones"]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_format2_segments_split_their_delimiters_on_attach(kind):
+    fresh = BUILDS[kind]()
+    blob = (FIXTURES / f"english5000_{kind}.v2.seg").read_bytes()
+    assert int.from_bytes(blob[8:10], "big") == 2
+    segment = Segment.parse(blob)
+    assert "ends" not in segment.bundle("index").children
+    attached = segment.attach("index")
+    assert type(attached) is type(fresh)
+    for pattern in PATTERNS:
+        assert attached.count(pattern) == fresh.count(pattern), pattern
+        if isinstance(fresh, CompactPrunedSuffixTree):
+            assert attached.count_or_none(pattern) == fresh.count_or_none(pattern), pattern
+    assert attached.space_report().payload_bits == fresh.space_report().payload_bits
+    assert attached.space_report().overhead_bits == fresh.space_report().overhead_bits
+    assert write_estimator_segment(attached, kind) == write_estimator_segment(fresh, kind)
+
+
+def _with_ends(bundle, bits):
+    children = {**bundle.children, "ends": BitVector(bits).export_storage()}
+    return StorageBundle(
+        kind=bundle.kind, meta=dict(bundle.meta), arrays=dict(bundle.arrays),
+        children=children,
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_inconsistent_ends_are_refused(kind):
+    index = BUILDS[kind]()
+    bundle = index.export_storage()
+    ends = index._ends.to_array()
+    one_less = ends.copy()
+    one_less[np.flatnonzero(ends)[0]] = 0  # a group end becomes a symbol
+    for bad in (one_less, ends[:-1], np.concatenate([[0], ends])):
+        with pytest.raises(InvalidParameterError, match="corrupt"):
+            type(index).attach_storage(_with_ends(bundle, bad))
+    attached = type(index).attach_storage(_with_ends(bundle, ends))
+    assert [attached.count(p) for p in PATTERNS] == [index.count(p) for p in PATTERNS]
