@@ -131,6 +131,23 @@ class IntVector(Sequence[int], DerivedState):
             value |= self._wv[widx + 1] << (_WORD - off)
         return value & self._mask
 
+    def get_run(self, i: int, count: int) -> int:
+        """Elements ``i .. i + count - 1`` read as one integer, element
+        ``i`` in the lowest ``width`` bits; ``count * width`` may exceed
+        one word."""
+        if count < 1 or i < 0 or i + count > self._n:
+            raise IndexError(f"run [{i}, {i + count}) out of range for length {self._n}")
+        start = i * self._width
+        nbits = count * self._width
+        w = start >> 6
+        value = self._wv[w] >> (start & 63)
+        have = _WORD - (start & 63)
+        while have < nbits:
+            w += 1
+            value |= self._wv[w] << have
+            have += _WORD
+        return value & ((1 << nbits) - 1)
+
     def get_many(self, indices: np.ndarray) -> np.ndarray:
         """Vectorised random access; returns int64 values for ``indices``."""
         idx = np.asarray(indices, dtype=np.int64)

@@ -242,10 +242,20 @@ class WaveletMatrix(DerivedState):
         return self._ascend(c, pos) if pos < self._buckets[s + 1] else -1
 
     def to_array(self) -> np.ndarray:
-        """Decode the full sequence (test helper; O(n log sigma))."""
-        return np.fromiter(
-            (self.access(i) for i in range(self._n)), dtype=np.int64, count=self._n
-        )
+        """Decode the full sequence: one numpy pass per level walks every
+        position down the bit-planes at once."""
+        value = np.zeros(self._n, dtype=np.int64)
+        if not self._n:
+            return value
+        every = np.arange(self._n + 1, dtype=np.int64)
+        p = every[:-1]
+        for bv, z, _ in self._walk:
+            ones = bv.rank1_many(every)  # rank1 at each position of the level
+            before = ones[p]
+            bit = ones[p + 1] - before
+            value = (value << 1) | bit
+            p = np.where(bit == 1, z + before, p - before)
+        return value
 
     # -- space accounting ------------------------------------------------------
 
@@ -534,10 +544,21 @@ class HuffmanWaveletTree:
         return idx
 
     def to_array(self) -> np.ndarray:
-        """Decode the full sequence (test helper)."""
-        return np.fromiter(
-            (self.access(i) for i in range(self._n)), dtype=np.int64, count=self._n
-        )
+        """Decode the full sequence: one numpy pass per node scatters its
+        children's decoded subsequences back by the node's bits."""
+
+        def decode(node: _HWTNode, size: int) -> np.ndarray:
+            if node.symbol is not None:
+                return np.full(size, node.symbol, dtype=np.int64)
+            assert node.bv is not None and node.left and node.right
+            right = np.diff(node.bv.rank1_many(np.arange(size + 1))) == 1
+            ones = int(right.sum())
+            out = np.empty(size, dtype=np.int64)
+            out[~right] = decode(node.left, size - ones)
+            out[right] = decode(node.right, ones)
+            return out
+
+        return decode(self._root, self._n)
 
     # -- space accounting ------------------------------------------------------
 

@@ -269,7 +269,7 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
                 np.zeros(k, dtype=bool))
         if hi < lo:
             return unpack_interval_states(*dead)  # symbol absent
-        total = self._b.count(c)
+        total = self._discriminant_count(c)
         if total == 0:
             return unpack_interval_states(*dead)
         p1, d1, ok1 = self._successor_many(c, arr[:, 0], total)
@@ -304,6 +304,10 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
         j = self._b.select(c, p)  # also its offset's index in V
         block = self._ends.select0(j + 1) - j  # the '#'s before it in B
         return block * self._h + self._v[j]
+
+    def _discriminant_count(self, c: int) -> int:
+        """``|D_c|``."""
+        return self._b.count(c)
 
     def _successor(self, c: int, x: int) -> Optional[Tuple[int, int]]:
         """Smallest discriminant of ``c`` at position >= x, with its rank."""

@@ -63,6 +63,30 @@ class ApproxIndexEF(ApproxIndex):
     def _discriminant_position(self, c: int, p: int) -> int:
         return int(self._positions[c][p - 1])
 
+    def _discriminant_count(self, c: int) -> int:
+        ef = self._positions.get(c)
+        return 0 if ef is None else len(ef)
+
+    # -- bulk D_c machinery (the inherited ``step_many`` drives these) --------
+
+    def _successor_many(self, c: int, xs: np.ndarray, total: int):
+        """Vectorised :meth:`_successor`: ``(p, d, found)`` arrays."""
+        ef = self._positions[c]
+        below = ef.num_less_many(xs)
+        found = below < total
+        d = np.full(xs.shape, -1, dtype=np.int64)
+        d[found] = ef.get_many(below[found])
+        return below + 1, d, found
+
+    def _predecessor_many(self, c: int, xs: np.ndarray):
+        """Vectorised :meth:`_predecessor`: ``(p, d, found)`` arrays."""
+        ef = self._positions[c]
+        p = ef.num_less_or_equal_many(xs)
+        found = p >= 1
+        d = np.full(xs.shape, -1, dtype=np.int64)
+        d[found] = ef.get_many(p[found] - 1)
+        return p, d, found
+
     # -- space ---------------------------------------------------------------
 
     def space_report(self) -> SpaceReport:

@@ -14,7 +14,8 @@ sort.
 :class:`~repro.build.report.BuildReport` telemetry (wall clock, cache
 hits, space). :func:`build_sharded_ladder` assembles the serving-layer
 degradation ladder whose upper tiers are sharded (used by
-``repro serve-check --shards N``).
+``repro serve-check --shards N``); its CPST and APX tiers build from the
+same per-shard contexts, so each shard's suffix array is sorted once.
 """
 
 from __future__ import annotations
@@ -123,9 +124,31 @@ def build_sharded(
     to its own context, so :meth:`ShardedEstimator.rebuild_shard` reuses
     the memoised artifacts instead of re-sorting.
     """
+    (built,) = _build_kinds(
+        plan, (kind,), l, policy=policy, cache=cache,
+        max_workers=max_workers, keep_texts=keep_texts,
+    )
+    return built
+
+
+def _build_kinds(
+    plan: ShardPlan,
+    kinds: "tuple[str, ...]",
+    l: int,
+    *,
+    policy: "MergePolicy | str",
+    cache: Optional[ArtifactCache],
+    max_workers: Optional[int],
+    keep_texts: bool = True,
+) -> "List[tuple[ShardedEstimator, ShardBuildReport]]":
+    """One sharded estimator per kind, in order. Every kind of a shard
+    builds from that shard's one :class:`~repro.build.BuildContext`, so
+    the shard's suffix array is sorted once whatever the number of kinds,
+    and every kind's rebuilder reuses the same memoised artifacts. Each
+    report's wall clock is the joint build's."""
     policy = MergePolicy.parse(policy)
-    l_shard = effective_shard_threshold(kind, l, plan.k, policy)
-    spec = spec_for(kind, l_shard)
+    thresholds = [effective_shard_threshold(kind, l, plan.k, policy) for kind in kinds]
+    specs = [spec_for(kind, l_shard) for kind, l_shard in zip(kinds, thresholds)]
     started = time.perf_counter()
 
     contexts = {
@@ -133,9 +156,12 @@ def build_sharded(
         for shard in plan.shards
     }
 
-    def build_one(shard_name: str) -> "tuple[str, OccurrenceEstimator, BuildReport]":
-        result = build_all(contexts[shard_name], [spec])
-        return shard_name, result[spec.label], result.report
+    def build_one(shard_name: str) -> "List[tuple[OccurrenceEstimator, BuildReport]]":
+        built = []
+        for spec in specs:
+            result = build_all(contexts[shard_name], [spec])
+            built.append((result[spec.label], result.report))
+        return built
 
     names = plan.names
     if max_workers is None:
@@ -143,39 +169,43 @@ def build_sharded(
     if max_workers < 1:
         raise InvalidParameterError(f"max_workers must be >= 1, got {max_workers}")
     if max_workers == 1 or plan.k == 1:
-        built = [build_one(name) for name in names]
+        per_shard = [build_one(name) for name in names]
     else:
         with ThreadPoolExecutor(
             max_workers=min(max_workers, plan.k),
             thread_name_prefix="repro-shard-build",
         ) as pool:
-            built = list(pool.map(build_one, names))
+            per_shard = list(pool.map(build_one, names))
+    wall_seconds = time.perf_counter() - started
 
-    builders: Dict[str, Callable[[], OccurrenceEstimator]] = {
-        shard.name: _rebuilder(contexts[shard.name], spec)
-        for shard in plan.shards
-    }
-    texts = (
-        {shard.name: shard.text for shard in plan.shards} if keep_texts else {}
-    )
-    estimator = ShardedEstimator(
-        [(name, index) for name, index, _ in built],
-        texts=texts,
-        builders=builders,
-    )
-    report = ShardBuildReport(
-        kind=kind,
-        policy=policy.value,
-        requested_threshold=l,
-        shard_threshold=l_shard,
-        merged_threshold=merged_threshold([l_shard] * plan.k)
-        if kind in _THRESHOLDED_KINDS
-        else 1,
-        wall_seconds=time.perf_counter() - started,
-        reports={name: shard_report for name, _, shard_report in built},
-        space=estimator.space_report(),
-    )
-    return estimator, report
+    results = []
+    for position, (kind, l_shard, spec) in enumerate(zip(kinds, thresholds, specs)):
+        estimator = ShardedEstimator(
+            [(name, built[position][0]) for name, built in zip(names, per_shard)],
+            texts=(
+                {shard.name: shard.text for shard in plan.shards} if keep_texts else {}
+            ),
+            builders={
+                shard.name: _rebuilder(contexts[shard.name], spec)
+                for shard in plan.shards
+            },
+        )
+        report = ShardBuildReport(
+            kind=kind,
+            policy=policy.value,
+            requested_threshold=l,
+            shard_threshold=l_shard,
+            merged_threshold=merged_threshold([l_shard] * plan.k)
+            if kind in _THRESHOLDED_KINDS
+            else 1,
+            wall_seconds=wall_seconds,
+            reports={
+                name: built[position][1] for name, built in zip(names, per_shard)
+            },
+            space=estimator.space_report(),
+        )
+        results.append((estimator, report))
+    return results
 
 
 def build_process_sharded(
@@ -257,11 +287,8 @@ def build_sharded_ladder(
     from ..service.tiers import TextStatsEstimator, Tier
     from ..textutil import Text
 
-    cpst_sharded, _ = build_sharded(
-        plan, "cpst", l, policy=policy, cache=cache, max_workers=max_workers
-    )
-    apx_sharded, _ = build_sharded(
-        plan, "apx", l, policy=policy, cache=cache, max_workers=max_workers
+    (cpst_sharded, _), (apx_sharded, _) = _build_kinds(
+        plan, ("cpst", "apx"), l, policy=policy, cache=cache, max_workers=max_workers
     )
     whole = Text.from_rows(
         [

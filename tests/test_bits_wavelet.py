@@ -235,3 +235,24 @@ def test_fused_pair_forms_on_empty_matrix():
         assert wm.rank_pair(c, 0, 0) == (0, 0)
     with pytest.raises(IndexError):
         wm.rank_pair(0, 0, 1)
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize(
+    "n,sigma,seed", [(0, 1, 0), (1, 1, 0), (50, 1, 1), (1, 9, 2), (777, 2, 3), (2000, 45, 4)]
+)
+@pytest.mark.parametrize("kind", ["matrix", "huffman"])
+def test_to_array_matches_per_position_access(kind, n, sigma, seed, compressed):
+    """The vectorised decode equals one scalar ``access`` per position:
+    empty sequences, a one-symbol alphabet, and random ones."""
+    data = np.random.default_rng(seed).integers(0, sigma, size=n)
+    if kind == "huffman":
+        if n == 0:
+            return  # a Huffman tree over nothing is refused at build
+        structure = HuffmanWaveletTree(data, sigma, compressed=compressed)
+    else:
+        structure = WaveletMatrix(data, sigma, compressed=compressed)
+    decoded = structure.to_array()
+    assert decoded.dtype == np.int64 and decoded.shape == (n,)
+    assert decoded.tolist() == [structure.access(i) for i in range(n)]
+    assert decoded.tolist() == data.tolist()

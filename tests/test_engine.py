@@ -22,6 +22,7 @@ import pytest
 
 from repro import (
     ApproxIndex,
+    ApproxIndexEF,
     CompactPrunedSuffixTree,
     FMIndex,
     PrunedSuffixTree,
@@ -50,6 +51,7 @@ BUILDERS = {
     "fm": lambda text: FMIndex(text),
     "rlfm": lambda text: RLFMIndex(text),
     "apx": lambda text: ApproxIndex(text, THRESHOLD),
+    "apx-ef": lambda text: ApproxIndexEF(text, THRESHOLD),
     "cpst": lambda text: CompactPrunedSuffixTree(text, THRESHOLD),
     "pst": lambda text: PrunedSuffixTree(text, THRESHOLD),
 }
@@ -321,6 +323,20 @@ def test_step_many_matches_step(corpus, kind):
     for ch in symbols:
         bulk = automaton.step_many(states, ch)
         assert bulk == [automaton.step(s, ch) for s in states], (name, kind, ch)
+
+
+def test_apx_ef_bulk_counts_at_default_width():
+    """Distinct 6-grams of an english sample reach waves wide enough for
+    ``step_many`` at the default width; the Elias–Fano variant steps them
+    in bulk over its own position sets, with the paper encoding's
+    answers."""
+    raw = generate("english", SIZE)
+    grams = sorted({raw[i:i + 6] for i in range(0, len(raw) - 6, 7)})
+    assert len(grams) > 300
+    ef = ApproxIndexEF(raw, THRESHOLD)
+    counter = IndexCounter(ef)
+    assert counter.count_many(grams) == ApproxIndex(raw, THRESHOLD).count_many(grams)
+    assert counter.stats.bulk_calls > 0
 
 
 def test_eviction_parity_scalar_vs_vectorized(corpus):

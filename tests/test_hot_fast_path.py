@@ -160,9 +160,51 @@ class TestScalarCountMin:
             assert clone.estimate(fp) == int(
                 clone_reference[rows, _numpy_columns(clone, fp)].min()
             )
+        # uint32 cells while the total fits them; 64-bit hash constants.
+        assert sketch._cells.dtype == np.uint32
         assert clone.space_bits() == sketch.space_bits() == (
-            depth * width * 64 + 2 * depth * 64
+            depth * width * 32 + 2 * depth * 64
         )
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_total_past_uint32_widens_the_plane(self, bulk):
+        """An add that could carry a cell past 2**32 - 1 widens the plane
+        to uint64 first: the new weight lands in full, every other cell
+        keeps its count, and the scalar row views follow the new plane."""
+        rng = random.Random(5)
+        sketch = CountMinSketch(256, 4, seed=3)
+        reference = np.zeros((4, 256), dtype=np.uint64)
+        rows = np.arange(4)
+        fps = [rng.randrange(1 << 40) for _ in range(300)]
+        for fp in fps:
+            amount = rng.randrange(1, 4)
+            sketch.add(fp, amount)
+            reference[rows, _numpy_columns(sketch, fp)] += np.uint64(amount)
+        before = {fp: sketch.estimate(fp) for fp in fps}
+        assert sketch._cells.dtype == np.uint32
+        heavy, big = fps[0], 1 << 32
+        if bulk:
+            sketch.add_many(np.array([heavy], dtype=np.uint64), big)
+        else:
+            sketch.add(heavy, big)
+        reference[rows, _numpy_columns(sketch, heavy)] += np.uint64(big)
+        assert sketch._cells.dtype == np.uint64
+        assert np.array_equal(sketch._cells, reference)
+        assert sketch.estimate(heavy) == before[heavy] + big
+        touched = set(_numpy_columns(sketch, heavy).tolist())
+        for fp in fps[1:]:
+            cols = _numpy_columns(sketch, fp)
+            assert sketch.estimate(fp) == int(reference[rows, cols].min())
+            if touched.isdisjoint(cols.tolist()):
+                assert sketch.estimate(fp) == before[fp]
+        # Both paths keep counting on the widened plane.
+        sketch.add(fps[1])
+        sketch.add_many(np.array(fps[2:4], dtype=np.uint64))
+        for fp in fps[1:4]:
+            reference[rows, _numpy_columns(sketch, fp)] += np.uint64(1)
+        assert np.array_equal(sketch._cells, reference)
+        assert sketch.total == int(reference[0].sum())
+        assert sketch.space_bits() == 4 * 256 * 64 + 2 * 4 * 64
 
 
 # ---------------------------------------------------------------------------

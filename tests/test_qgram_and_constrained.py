@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MOCEstimator, MOEstimator, MOLCEstimator, MOLEstimator, QGramIndex
 from repro.core.cpst import CompactPrunedSuffixTree
+from repro.datasets import generate
 from repro.errors import InvalidParameterError, PatternError
 from repro.textutil import Text
 
@@ -44,7 +47,23 @@ class TestQGramIndex:
 
     def test_space_report_components(self):
         report = QGramIndex("banana", q=2).space_report()
-        assert set(report.components) == {"1-grams", "2-grams"}
+        assert set(report.components) == {"windows", "cumulative_counts"}
+        # "banana" has 4 distinct 2-windows (an, ba, na and the padded
+        # final "a"): 4 windows of 2 x 2 bits, 5 cumulative counts of 3 bits
+        # (values up to n = 6).
+        assert report.components == {"windows": 4 * 2 * 2, "cumulative_counts": 5 * 3}
+
+    def test_space_counts_stored_bits(self):
+        """Windows at ceil(log2(sigma + 1)) bits per symbol, one count of
+        ceil(log2(n + 1)) bits per window plus one."""
+        text = Text(generate("dblp", 4000, seed=2))
+        index = QGramIndex(text, q=8)
+        windows = {text.raw[i:i + 8] for i in range(len(text))}
+        symbol_bits = (text.sigma - 1).bit_length()
+        assert index.space_report().payload_bits == (
+            len(windows) * 8 * symbol_bits
+            + (len(windows) + 1) * len(text).bit_length()
+        )
 
     def test_as_estimator_backend(self):
         # The classical pipeline: q-gram table + MO estimation.
@@ -53,6 +72,64 @@ class TestQGramIndex:
         assert estimator.estimate("the") == t.count_naive("the")
         value = estimator.estimate("the cat")
         assert 0.0 <= value <= len(t)
+
+
+def _differential_patterns(raw: str, q: int, seed: int) -> list:
+    """Every distinct substring of length <= q + 1, absent strings over the
+    text's alphabet, and strings with a character outside it."""
+    patterns = {
+        raw[i:i + k] for k in range(1, q + 2) for i in range(len(raw) - k + 1)
+    }
+    rng = random.Random(seed)
+    alphabet = sorted(set(raw))
+    for _ in range(300):
+        k = rng.randint(1, q + 1)
+        patterns.add("".join(rng.choice(alphabet) for _ in range(k)))
+    outside = "\x00" if "\x00" not in raw else "\uffff"
+    for k in range(1, q + 2):
+        start = rng.randrange(len(raw) - k + 1)
+        body = list(raw[start:start + k])
+        body[rng.randrange(k)] = outside
+        patterns.add("".join(body))
+    return sorted(patterns)
+
+
+def _check_against_naive(text: Text, q: int, seed: int) -> None:
+    index = QGramIndex(text, q)
+    checked = 0
+    for pattern in _differential_patterns(text.raw, q, seed):
+        got = index.count_or_none(pattern)
+        if len(pattern) > q:
+            assert got is None, pattern
+            assert index.count(pattern) == 0
+        else:
+            assert got == text.count_naive(pattern), (q, pattern)
+            checked += got > 0
+    assert checked > 0
+
+
+@pytest.mark.parametrize("q", [1, 4, 8])
+@pytest.mark.parametrize("corpus", ["dblp", "english", "dna"])
+def test_qgram_matches_naive_counts(corpus, q):
+    """The sorted-window table against direct scanning: exact at every
+    length <= q (0 for absent patterns), None beyond."""
+    _check_against_naive(Text(generate(corpus, 700, seed=11)), q, seed=q)
+
+
+def test_qgram_windows_wider_than_a_word():
+    """sigma > 256 at q = 8 packs 9-bit symbols into 72-bit windows; the
+    same table answers exactly."""
+    rng = random.Random(4)
+    common = [chr(0x100 + c) for c in range(8)]
+    raw = "".join(
+        rng.choice(common) if rng.random() < 0.5 else chr(0x100 + rng.randrange(600))
+        for _ in range(1500)
+    )
+    text = Text(raw)
+    assert text.sigma > 257
+    index = QGramIndex(text, 8)
+    assert index.space_report().components["windows"] % (8 * 9) == 0
+    _check_against_naive(text, 8, seed=5)
 
 
 class TestConstrainedEstimators:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro import sa as sa_module
 from repro.service.server import QueryServer
 from repro.service.watchdog import CorruptionWatchdog, probes_from_text
 from repro.shard import MergePolicy, ShardPlan, build_sharded_ladder
@@ -198,6 +199,34 @@ class TestMergePolicyThroughLadder:
             outcome = service.query(pattern)
             truth = mono.count_naive(pattern)
             assert outcome.contract_holds(truth, len(mono))
+
+
+class TestOneSuffixSortPerShard:
+    def test_ladder_sorts_each_shard_once(self, monkeypatch):
+        """The sharded CPST and APX tiers build from one context per shard:
+        k suffix sorts for the whole ladder, and rebuilding a shard of
+        either tier reuses the memoised artifacts."""
+        sorts = []
+        real = sa_module.suffix_array
+
+        def counting(data, *args, **kwargs):
+            sorts.append(len(data))
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(sa_module, "suffix_array", counting)
+        rng = random.Random(13)
+        rows = ["".join(rng.choice("abcd") for _ in range(200)) for _ in range(8)]
+        plan = ShardPlan.for_rows(rows, K)
+        service = build_sharded_ladder(plan, L, deadline_seconds=None)
+        assert len(sorts) == K
+        assert sorted(sorts) == sorted(len(shard.text) + 1 for shard in plan.shards)
+        for tier in service.tiers[:2]:
+            sharded = tier.estimator
+            name = sharded.shard_names[0]
+            before = sharded.estimator_for(name).count("ab")
+            sharded.rebuild_shard(name)
+            assert sharded.estimator_for(name).count("ab") == before
+        assert len(sorts) == K
 
 
 class TestCertifiedFanoutEngineWork:
