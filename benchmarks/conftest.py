@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import CorpusContext
+from repro.build import BuildContext
+from repro.datasets import dataset_names, generate
+from repro.textutil import sample_from_text
 
 BENCH_SIZE = int(os.environ.get("REPRO_BENCH_SIZE", "20000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
@@ -27,11 +29,18 @@ def bench_size() -> int:
 
 
 @pytest.fixture(scope="session")
-def contexts() -> dict[str, CorpusContext]:
-    """One CorpusContext per paper corpus, shared across the session."""
-    from repro.datasets import dataset_names
+def contexts() -> dict[str, BuildContext]:
+    """One BuildContext per paper corpus, shared across the session."""
+    return {
+        name: BuildContext(generate(name, BENCH_SIZE, BENCH_SEED), name=name)
+        for name in dataset_names()
+    }
 
-    return {name: CorpusContext(name, BENCH_SIZE, BENCH_SEED) for name in dataset_names()}
+
+def sample_patterns(ctx: BuildContext, length: int, count: int) -> list[str]:
+    """The Figure 9 workload: ``count`` substrings of ``ctx``'s text,
+    seeded by the corpus seed and the length, as the experiments draw it."""
+    return sample_from_text(ctx.text, length, count, seed=(BENCH_SEED, 1, length))
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,9 @@ relationship and that answers are identical.
 
 from __future__ import annotations
 
+from repro.core.approx import ApproxIndex
 from repro.experiments import ablation
-from .conftest import BENCH_SEED, BENCH_SIZE
+from .conftest import BENCH_SEED, BENCH_SIZE, sample_patterns
 
 
 def test_encoding_same_order_and_equivalent(benchmark, save_report, contexts):
@@ -33,7 +34,7 @@ def test_encoding_same_order_and_equivalent(benchmark, save_report, contexts):
     from repro.core.approx_ef import ApproxIndexEF
 
     ctx = contexts["english"]
-    paper = ctx.build_apx(32)
+    paper = ApproxIndex(ctx, 32)
     naive = ApproxIndexEF.from_bwt(ctx.bwt, ctx.text.alphabet, 32)
-    for pattern in ctx.sample_patterns(5, 30):
+    for pattern in sample_patterns(ctx, 5, 30):
         assert paper.count_range(pattern) == naive.count_range(pattern), pattern

@@ -14,13 +14,18 @@ import time
 
 import pytest
 
+from repro.baselines.fm import FMIndex
+from repro.core.approx import ApproxIndex
+from repro.core.cpst import CompactPrunedSuffixTree
 from repro.engine import IndexCounter, planner_for
+
+from .conftest import sample_patterns
 
 
 @pytest.fixture(scope="module")
 def workload(contexts):
     ctx = contexts["english"]
-    bases = ctx.sample_patterns(14, 8)
+    bases = sample_patterns(ctx, 14, 8)
     patterns = [
         base[i:j]
         for base in bases
@@ -32,7 +37,7 @@ def workload(contexts):
 
 def test_batched_fm(benchmark, workload):
     ctx, patterns = workload
-    index = ctx.build_fm()
+    index = FMIndex(ctx)
 
     def run():
         return IndexCounter(index, max_states=None).count_many(patterns)
@@ -53,7 +58,7 @@ def test_batched_fm(benchmark, workload):
 
 def test_batched_apx(benchmark, workload):
     ctx, patterns = workload
-    index = ctx.build_apx(32)
+    index = ApproxIndex(ctx, 32)
 
     def run():
         return IndexCounter(index, max_states=None).count_many(patterns)
@@ -65,7 +70,7 @@ def test_batched_apx(benchmark, workload):
 def test_planner_fm(benchmark, workload):
     """The engine planner driven directly (no counter) on the same batch."""
     ctx, patterns = workload
-    index = ctx.build_fm()
+    index = FMIndex(ctx)
 
     def run():
         return planner_for(index).count_many(patterns)
@@ -86,11 +91,11 @@ def test_engine_stats_comparison(contexts):
     ctx = contexts["english"]
     workload = [
         p for length in (6, 8, 10, 12)
-        for p in ctx.sample_patterns(length, 50)
+        for p in sample_patterns(ctx, length, 50)
     ]
     for label, index in (
-        ("FM", ctx.build_fm()),
-        ("CPST-16", ctx.build_cpst(16)),
+        ("FM", FMIndex(ctx)),
+        ("CPST-16", CompactPrunedSuffixTree(ctx, 16)),
     ):
         row = measure(index, workload, "english", label)
         assert row.results_identical

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.fm import FMIndex
+from repro.baselines.patricia import PrunedPatriciaTrie
+from repro.baselines.pst import PrunedSuffixTree
+from repro.core.approx import ApproxIndex
+from repro.core.cpst import CompactPrunedSuffixTree
 from repro.sa import lcp_array, suffix_array, suffix_array_sais
 from repro.suffixtree.pruned import PrunedSuffixTreeStructure
 
@@ -56,34 +61,34 @@ def test_build_structure(benchmark, english):
 
 
 def test_build_fm(benchmark, english):
-    index = benchmark.pedantic(english.build_fm, rounds=2, iterations=1)
+    index = benchmark.pedantic(FMIndex, args=(english,), rounds=2, iterations=1)
     assert index.text_length == len(english.text)
 
 
 def test_build_apx(benchmark, english):
     index = benchmark.pedantic(
-        english.build_apx, args=(THRESHOLD,), rounds=2, iterations=1
+        ApproxIndex, args=(english, THRESHOLD), rounds=2, iterations=1
     )
     assert index.threshold == THRESHOLD
 
 
 def test_build_cpst(benchmark, english):
     index = benchmark.pedantic(
-        english.build_cpst, args=(THRESHOLD,), rounds=2, iterations=1
+        CompactPrunedSuffixTree, args=(english, THRESHOLD), rounds=2, iterations=1
     )
     assert index.threshold == THRESHOLD
 
 
 def test_build_pst(benchmark, english):
     index = benchmark.pedantic(
-        english.build_pst, args=(THRESHOLD,), rounds=2, iterations=1
+        PrunedSuffixTree, args=(english, THRESHOLD), rounds=2, iterations=1
     )
     assert index.threshold == THRESHOLD
 
 
 def test_build_patricia(benchmark, english):
     index = benchmark.pedantic(
-        english.build_patricia, args=(THRESHOLD,), rounds=2, iterations=1
+        PrunedPatriciaTrie, args=(english, THRESHOLD), rounds=2, iterations=1
     )
     assert index.threshold == THRESHOLD
 

@@ -20,7 +20,11 @@ import time
 
 import pytest
 
+from repro.baselines.fm import FMIndex
+from repro.core.cpst import CompactPrunedSuffixTree
 from repro.engine import planner_for
+
+from .conftest import sample_patterns
 
 #: The CI floor only binds on hosts with real parallel headroom (and
 #: therefore believable timers); laptops and tiny runners still produce
@@ -33,7 +37,7 @@ def _figure9_workload(ctx, per_length=200):
     return [
         p
         for length in (6, 8, 10, 12)
-        for p in ctx.sample_patterns(length, per_length)
+        for p in sample_patterns(ctx, length, per_length)
     ]
 
 
@@ -81,8 +85,8 @@ def test_vectorized_throughput_artifact(contexts, save_report):
         ctx = contexts[name]
         patterns = _figure9_workload(ctx)
         for label, index in (
-            ("FM", ctx.build_fm()),
-            ("CPST-16", ctx.build_cpst(16)),
+            ("FM", FMIndex(ctx)),
+            ("CPST-16", CompactPrunedSuffixTree(ctx, 16)),
         ):
             throughput.append(_throughput_row(name, label, index, patterns))
             row = measure(index, patterns, name, label)
@@ -142,7 +146,7 @@ def test_wave_planner_benchmark(benchmark, contexts, kind):
     """pytest-benchmark row for the wave planner on the Figure 9
     workload (compare against test_planner_fm in test_batch_counting)."""
     ctx = contexts["english"]
-    index = ctx.build_fm() if kind == "fm" else ctx.build_cpst(16)
+    index = FMIndex(ctx) if kind == "fm" else CompactPrunedSuffixTree(ctx, 16)
     patterns = _figure9_workload(ctx, per_length=25)
     expected = [index.count(p) for p in patterns]
 

@@ -6,7 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro import CombinedIndex, MultiplicativeIndex
+from repro.baselines.fm import FMIndex
 from repro.core.rows import RowSelectivityIndex
+
+from .conftest import sample_patterns
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +19,7 @@ def english(contexts):
 
 def test_combined_query_batch(benchmark, english):
     index = CombinedIndex(english.text, 32)
-    patterns = english.sample_patterns(4, 30) + english.sample_patterns(10, 30)
+    patterns = sample_patterns(english, 4, 30) + sample_patterns(english, 10, 30)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)
@@ -30,7 +33,7 @@ def test_combined_query_batch(benchmark, english):
 
 def test_multiplicative_query_batch(benchmark, english):
     index = MultiplicativeIndex(english.text, epsilon=0.5, cutoff=32)
-    patterns = english.sample_patterns(3, 40)
+    patterns = sample_patterns(english, 3, 40)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)
@@ -57,9 +60,9 @@ def test_row_selectivity_build_and_query(benchmark):
 
 def test_fm_rrr_space_tradeoff(benchmark, english):
     """RRR-compressed FM: smaller than the plain wavelet matrix variant."""
-    build = lambda: english.build_fm("matrix-rrr")
+    build = lambda: FMIndex(english, "matrix-rrr")
     packed = benchmark.pedantic(build, rounds=1, iterations=1)
-    plain = english.build_fm("matrix")
+    plain = FMIndex(english, "matrix")
     assert packed.space_report().payload_bits < plain.space_report().payload_bits
-    for pattern in english.sample_patterns(5, 10):
+    for pattern in sample_patterns(english, 5, 10):
         assert packed.count(pattern) == plain.count(pattern)

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.approx import ApproxIndex
+from repro.core.cpst import CompactPrunedSuffixTree
+
+from .conftest import sample_patterns
+
 
 @pytest.fixture(scope="module")
 def english(contexts):
@@ -18,8 +23,8 @@ def english(contexts):
 
 @pytest.mark.parametrize("length", [2, 8, 32])
 def test_apx_time_vs_pattern_length(benchmark, english, length):
-    index = english.build_apx(32)
-    patterns = english.sample_patterns(length, 20)
+    index = ApproxIndex(english, 32)
+    patterns = sample_patterns(english, length, 20)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)
@@ -30,8 +35,8 @@ def test_apx_time_vs_pattern_length(benchmark, english, length):
 
 @pytest.mark.parametrize("length", [2, 8, 32])
 def test_cpst_time_vs_pattern_length(benchmark, english, length):
-    index = english.build_cpst(32)
-    patterns = english.sample_patterns(length, 20)
+    index = CompactPrunedSuffixTree(english, 32)
+    patterns = sample_patterns(english, length, 20)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)
@@ -42,8 +47,8 @@ def test_cpst_time_vs_pattern_length(benchmark, english, length):
 
 @pytest.mark.parametrize("l", [8, 64, 512])
 def test_apx_time_vs_threshold(benchmark, english, l):
-    index = english.build_apx(l)
-    patterns = english.sample_patterns(8, 20)
+    index = ApproxIndex(english, l)
+    patterns = sample_patterns(english, 8, 20)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)
@@ -54,8 +59,8 @@ def test_apx_time_vs_threshold(benchmark, english, l):
 
 @pytest.mark.parametrize("l", [8, 64, 512])
 def test_cpst_time_vs_threshold(benchmark, english, l):
-    index = english.build_cpst(l)
-    patterns = english.sample_patterns(8, 20)
+    index = CompactPrunedSuffixTree(english, l)
+    patterns = sample_patterns(english, 8, 20)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)

@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.fm import FMIndex
+from repro.baselines.patricia import PrunedPatriciaTrie
+from repro.baselines.pst import PrunedSuffixTree
+from repro.core.approx import ApproxIndex
+from repro.core.cpst import CompactPrunedSuffixTree
+
+from .conftest import sample_patterns
+
 
 @pytest.fixture(scope="module")
 def workload(contexts):
     ctx = contexts["english"]
     patterns = []
     for length in (2, 4, 8, 16):
-        patterns.extend(ctx.sample_patterns(length, 25))
+        patterns.extend(sample_patterns(ctx, length, 25))
     return ctx, patterns
 
 
@@ -28,11 +36,11 @@ THRESHOLD = 32
 def built_indexes(workload):
     ctx, _ = workload
     return {
-        "fm": ctx.build_fm(),
-        "apx": ctx.build_apx(THRESHOLD),
-        "cpst": ctx.build_cpst(THRESHOLD),
-        "pst": ctx.build_pst(THRESHOLD),
-        "patricia": ctx.build_patricia(THRESHOLD),
+        "fm": FMIndex(ctx),
+        "apx": ApproxIndex(ctx, THRESHOLD),
+        "cpst": CompactPrunedSuffixTree(ctx, THRESHOLD),
+        "pst": PrunedSuffixTree(ctx, THRESHOLD),
+        "patricia": PrunedPatriciaTrie(ctx, THRESHOLD),
     }
 
 
@@ -57,7 +65,7 @@ def test_mol_estimate_batch(benchmark, workload, built_indexes):
 
     ctx, _ = workload
     estimator = MOLEstimator(built_indexes["cpst"])
-    patterns = ctx.sample_patterns(8, 20)
+    patterns = sample_patterns(ctx, 8, 20)
 
     def run() -> float:
         return sum(estimator.estimate(p) for p in patterns)

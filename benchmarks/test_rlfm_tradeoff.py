@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.fm import FMIndex
 from repro.baselines.rlfm import RLFMIndex
+
+from .conftest import sample_patterns
 
 
 def test_rlfm_space_regimes(benchmark, contexts, save_report):
@@ -24,7 +27,7 @@ def test_rlfm_space_regimes(benchmark, contexts, save_report):
     ratios = {}
     for name, ctx in contexts.items():
         rlfm_bits = indexes[name].space_report().payload_bits
-        fm_bits = ctx.build_fm().space_report().payload_bits
+        fm_bits = FMIndex(ctx).space_report().payload_bits
         runs = indexes[name].num_runs
         ratios[name] = rlfm_bits / fm_bits
         lines.append(
@@ -44,8 +47,8 @@ def test_rlfm_space_regimes(benchmark, contexts, save_report):
 def test_rlfm_query_batch(benchmark, contexts):
     ctx = contexts["sources"]
     index = RLFMIndex.from_bwt(ctx.bwt, ctx.text.alphabet)
-    fm = ctx.build_fm()
-    patterns = ctx.sample_patterns(6, 40)
+    fm = FMIndex(ctx)
+    patterns = sample_patterns(ctx, 6, 40)
 
     def run() -> int:
         return sum(index.count(p) for p in patterns)

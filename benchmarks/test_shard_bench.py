@@ -18,8 +18,11 @@ import time
 import pytest
 
 from repro.build import ArtifactCache
+from repro.core.approx import ApproxIndex
 from repro.shard import MergePolicy, ShardPlan, build_sharded
 from repro.textutil import ROW_SEPARATOR, Text
+
+from .conftest import sample_patterns
 
 THRESHOLD = 16
 SHARDS = 4
@@ -88,10 +91,10 @@ def test_shard_report_artifact(corpus, tmp_path_factory, save_report):
     assert warm.reuse_hits > cold.reuse_hits or cold.reuse_hits == 0
 
     # Fan-out query latency vs the monolithic index on the same corpus.
-    monolith = ctx.build_apx(THRESHOLD)
+    monolith = ApproxIndex(ctx, THRESHOLD)
     workload = [
         p for length in (4, 6, 8)
-        for p in ctx.sample_patterns(length, 40)
+        for p in sample_patterns(ctx, length, 40)
         if ROW_SEPARATOR not in p
     ]
     t0 = time.perf_counter()

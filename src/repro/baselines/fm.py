@@ -49,32 +49,20 @@ class FMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     def __init__(
         self,
-        text: Text | str,
+        text: "BuildContext | Text | str",
         wavelet: str = "huffman",  # huffman | matrix | huffman-rrr | matrix-rrr
         sa_sample_rate: int | None = None,
     ):
+        """Build over a text, or over a shared
+        :class:`~repro.build.BuildContext`: consumes the memoised BWT
+        (and, when ``sa_sample_rate`` is given, the memoised suffix array
+        for locate/extract samples)."""
         from ..build import BuildContext
 
         ctx = BuildContext.of(text)
         self._init_from_bwt(ctx.bwt, ctx.text.alphabet, wavelet)
         if sa_sample_rate is not None:
             self._attach_samples(ctx.sa, sa_sample_rate)
-
-    @classmethod
-    def from_context(
-        cls,
-        ctx: "BuildContext",
-        wavelet: str = "huffman",
-        sa_sample_rate: int | None = None,
-    ) -> "FMIndex":
-        """Build from a shared :class:`~repro.build.BuildContext`:
-        consumes the memoised BWT (and, when ``sa_sample_rate`` is given,
-        the memoised suffix array for locate/extract samples)."""
-        instance = cls.__new__(cls)
-        instance._init_from_bwt(ctx.bwt, ctx.text.alphabet, wavelet)
-        if sa_sample_rate is not None:
-            instance._attach_samples(ctx.sa, sa_sample_rate)
-        return instance
 
     @classmethod
     def from_bwt(

@@ -40,36 +40,25 @@ class PrunedPatriciaTrie(OccurrenceEstimator):
 
     error_model = ErrorModel.UNIFORM  # only valid when Count(P) >= l/2
 
-    @classmethod
-    def from_context(cls, ctx: "BuildContext", l: int) -> "PrunedPatriciaTrie":
-        """Build from a shared :class:`~repro.build.BuildContext`
-        (consumes the memoised suffix and LCP arrays)."""
-        return cls(ctx.text, l, sa=ctx.sa, lcp=ctx.lcp)
+    def __init__(self, text: "BuildContext | Text | str", l: int):
+        """Build over a text, or over a shared
+        :class:`~repro.build.BuildContext` (consumes its memoised suffix
+        and LCP arrays)."""
+        from ..build import BuildContext
 
-    def __init__(
-        self,
-        text: Text | str,
-        l: int,
-        sa: np.ndarray | None = None,
-        lcp: np.ndarray | None = None,
-    ):
-        if isinstance(text, str):
-            text = Text(text)
         if l < 2 or l % 2:
             raise InvalidParameterError(
                 f"Patricia threshold l must be an even integer >= 2, got {l}"
             )
+        ctx = BuildContext.of(text)
+        text = ctx.text
         self._l = l
         self._h = l // 2
         self._alphabet = text.alphabet
         self._sigma = text.sigma
         self._text_length = len(text)
         data = text.data
-        if sa is None or lcp is None:
-            from ..build import BuildContext
-
-            ctx = BuildContext.of(text)
-            sa, lcp = ctx.sa, ctx.lcp
+        sa, lcp = ctx.sa, ctx.lcp
         rmq = RangeMinimum(lcp)
         ranks = np.arange(0, sa.size, self._h, dtype=np.int64)
         num_samples = int(ranks.size)

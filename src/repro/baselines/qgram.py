@@ -40,22 +40,14 @@ class QGramIndex(OccurrenceEstimator):
 
     error_model = ErrorModel.LOWER_SIDED  # "reliable or detected", by length
 
-    @classmethod
-    def from_context(cls, ctx: "BuildContext", q: int) -> "QGramIndex":
-        """Build from a shared :class:`~repro.build.BuildContext`.
+    def __init__(self, text: "BuildContext | Text | str", q: int):
+        """Build over a text (a :class:`~repro.build.BuildContext` gives
+        its text: the table is a raw-text scan, no suffix sorting)."""
+        from ..build import BuildContext
 
-        The table is a raw-text scan (no suffix sorting), so this exists
-        for pipeline uniformity: every index the
-        :func:`~repro.build.build_all` registry knows offers the same
-        ``from_context`` entry point.
-        """
-        return cls(ctx.text, q)
-
-    def __init__(self, text: Text | str, q: int):
         if q < 1:
             raise InvalidParameterError(f"q must be >= 1, got {q}")
-        if isinstance(text, str):
-            text = Text(text)
+        text = BuildContext.of(text).text
         self._q = q
         self._alphabet = text.alphabet
         self._sigma = text.sigma
@@ -108,6 +100,15 @@ class QGramIndex(OccurrenceEstimator):
         shift = (self._q - len(pattern)) * self._symbol_bits
         first, last = self._window_range(key << shift, (key + 1) << shift)
         return self._cumulative[last] - self._cumulative[first]
+
+    def count_interval(self, pattern: str) -> Tuple[int, int]:
+        """The exact count as a point for ``len(pattern) <= q``; beyond
+        ``q`` only the trivial ``[0, n - |P| + 1]``, since the table
+        knows nothing of longer patterns."""
+        exact = self.count_or_none(pattern)
+        if exact is not None:
+            return (exact, exact)
+        return (0, max(0, self._text_length - len(pattern) + 1))
 
     def is_reliable(self, pattern: str) -> bool:
         return len(pattern) <= self._q

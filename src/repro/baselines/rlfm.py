@@ -46,17 +46,14 @@ class RLFMIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     error_model = ErrorModel.EXACT
 
-    def __init__(self, text: Text | str):
+    def __init__(self, text: "BuildContext | Text | str"):
+        """Build over a text, or over a shared
+        :class:`~repro.build.BuildContext` (consumes only its memoised
+        BWT)."""
         from ..build import BuildContext
 
         ctx = BuildContext.of(text)
-        self._init_from_bwt(ctx.bwt, ctx.text.alphabet)
-
-    @classmethod
-    def from_context(cls, ctx: "BuildContext") -> "RLFMIndex":
-        """Build from a shared :class:`~repro.build.BuildContext`
-        (consumes only the memoised BWT)."""
-        return cls.from_bwt(ctx.bwt, ctx.text.alphabet)
+        self._init_from_bwt(np.asarray(ctx.bwt, dtype=np.int64), ctx.text.alphabet)
 
     @classmethod
     def from_bwt(cls, bwt: np.ndarray, alphabet: Alphabet) -> "RLFMIndex":

@@ -65,7 +65,6 @@ class BuildContext:
         self._key_locks: Dict[Any, threading.Lock] = {}
         self._artifacts: Dict[Any, Any] = {}
         self._stages: List[StageRecord] = []
-        self._memo_hits: Dict[str, int] = {}
 
     @classmethod
     def of(cls, source: "BuildContext | Text | str") -> "BuildContext":
@@ -123,15 +122,11 @@ class BuildContext:
         """Double-checked per-key memoisation with stage telemetry."""
         value = self._artifacts.get(key)
         if value is not None:
-            with self._master_lock:
-                self._memo_hits[stage] = self._memo_hits.get(stage, 0) + 1
             self._record(stage, 0.0, SOURCE_MEMO, sizeof(value))
             return value
         with self._lock_for(key):
             value = self._artifacts.get(key)
             if value is not None:
-                with self._master_lock:
-                    self._memo_hits[stage] = self._memo_hits.get(stage, 0) + 1
                 self._record(stage, 0.0, SOURCE_MEMO, sizeof(value))
                 return value
             source = SOURCE_COMPUTED
@@ -218,24 +213,6 @@ class BuildContext:
         with self._master_lock:
             stages, self._stages = self._stages, []
             return stages
-
-    @property
-    def memo_hits(self) -> Dict[str, int]:
-        """Per-stage count of memo hits (artifact reuse)."""
-        with self._master_lock:
-            return dict(self._memo_hits)
-
-    def memo_bytes(self) -> Dict[str, int]:
-        """Approximate resident size of every memoised artifact, in bytes."""
-        with self._master_lock:
-            sizes: Dict[str, int] = {}
-            for key, value in self._artifacts.items():
-                stage = key if isinstance(key, str) else f"{key[0]}(l={key[1]})"
-                if isinstance(value, PrunedSuffixTreeStructure):
-                    sizes[stage] = value.num_nodes * 96
-                else:
-                    sizes[stage] = int(getattr(value, "nbytes", 0))
-            return sizes
 
     def __repr__(self) -> str:
         held = sorted(

@@ -19,7 +19,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from importlib import import_module
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.interface import OccurrenceEstimator
 from ..errors import InvalidParameterError
@@ -40,111 +41,82 @@ class IndexSpec:
         """The name the built index is keyed by in the result."""
         return self.name or self.kind
 
+    def build(self, context: "BuildContext | Any") -> OccurrenceEstimator:
+        """Build this one index from ``context`` (a
+        :class:`BuildContext`, a :class:`~repro.textutil.Text` or a
+        string), with no pre-warm pass and no report."""
+        return _kind(self.kind)(BuildContext.of(context), **dict(self.params))
+
 
 # -- builder registry ---------------------------------------------------------
-#
-# Builders are looked up lazily so this module never imports the index
-# classes at import time (they import the build package themselves).
 
 
-def _build_cpst(ctx: BuildContext, l: int = 64) -> OccurrenceEstimator:
-    from ..core.cpst import CompactPrunedSuffixTree
+@dataclass(frozen=True)
+class _Kind:
+    """One index kind: where its class lives, the parameters a spec may
+    leave out, and the shared artifacts it consumes (pre-warmed by
+    :func:`build_all`).
 
-    return CompactPrunedSuffixTree.from_context(ctx, l)
+    Calling it builds the index through the class's one constructor,
+    which takes the context and consumes only those artifacts. The class
+    is imported on first use, so this module never imports the index
+    classes at import time (they import the build package themselves).
+    """
 
+    module: str
+    cls: str
+    defaults: Mapping[str, Any]
+    artifacts: Sequence[str]
 
-def _build_apx(ctx: BuildContext, l: int = 64) -> OccurrenceEstimator:
-    from ..core.approx import ApproxIndex
-
-    return ApproxIndex.from_context(ctx, l)
-
-
-def _build_apx_ef(ctx: BuildContext, l: int = 64) -> OccurrenceEstimator:
-    from ..core.approx_ef import ApproxIndexEF
-
-    return ApproxIndexEF.from_context(ctx, l)
-
-
-def _build_fm(
-    ctx: BuildContext,
-    wavelet: str = "huffman",
-    sa_sample_rate: Optional[int] = None,
-) -> OccurrenceEstimator:
-    from ..baselines.fm import FMIndex
-
-    return FMIndex.from_context(ctx, wavelet, sa_sample_rate=sa_sample_rate)
+    def __call__(self, ctx: BuildContext, **params: Any) -> OccurrenceEstimator:
+        cls = getattr(import_module(self.module, __package__), self.cls)
+        return cls(ctx, **{**self.defaults, **params})
 
 
-def _build_rlfm(ctx: BuildContext) -> OccurrenceEstimator:
-    from ..baselines.rlfm import RLFMIndex
-
-    return RLFMIndex.from_context(ctx)
-
-
-def _build_pst(ctx: BuildContext, l: int = 64) -> OccurrenceEstimator:
-    from ..baselines.pst import PrunedSuffixTree
-
-    return PrunedSuffixTree.from_context(ctx, l)
-
-
-def _build_patricia(ctx: BuildContext, l: int = 64) -> OccurrenceEstimator:
-    from ..baselines.patricia import PrunedPatriciaTrie
-
-    return PrunedPatriciaTrie.from_context(ctx, l)
-
-
-def _build_qgram(ctx: BuildContext, q: int = 8) -> OccurrenceEstimator:
-    from ..baselines.qgram import QGramIndex
-
-    return QGramIndex.from_context(ctx, q)
-
-
-def _build_stats(ctx: BuildContext) -> OccurrenceEstimator:
-    from ..service.tiers import TextStatsEstimator
-
-    return TextStatsEstimator.from_context(ctx)
-
-
-BUILDERS: Dict[str, Callable[..., OccurrenceEstimator]] = {
-    "cpst": _build_cpst,
-    "apx": _build_apx,
-    "apx-ef": _build_apx_ef,
-    "fm": _build_fm,
-    "rlfm": _build_rlfm,
-    "pst": _build_pst,
-    "patricia": _build_patricia,
-    "qgram": _build_qgram,
-    "stats": _build_stats,
+BUILDERS: Dict[str, _Kind] = {
+    "cpst": _Kind("..core.cpst", "CompactPrunedSuffixTree", {"l": 64}, ("sa", "lcp")),
+    "apx": _Kind("..core.approx", "ApproxIndex", {"l": 64}, ("bwt",)),
+    "apx-ef": _Kind("..core.approx_ef", "ApproxIndexEF", {"l": 64}, ("bwt",)),
+    "fm": _Kind("..baselines.fm", "FMIndex", {}, ("sa", "bwt")),
+    "rlfm": _Kind("..baselines.rlfm", "RLFMIndex", {}, ("bwt",)),
+    "pst": _Kind("..baselines.pst", "PrunedSuffixTree", {"l": 64}, ("sa", "lcp")),
+    "patricia": _Kind(
+        "..baselines.patricia", "PrunedPatriciaTrie", {"l": 64}, ("sa", "lcp")
+    ),
+    "qgram": _Kind("..baselines.qgram", "QGramIndex", {"q": 8}, ()),
+    "stats": _Kind("..service.tiers", "TextStatsEstimator", {}, ()),
 }
 
-#: Shared artifacts each kind consumes, for the pre-warm pass.
-_PREWARM: Dict[str, Sequence[str]] = {
-    "cpst": ("sa", "lcp"),
-    "apx": ("bwt",),
-    "apx-ef": ("bwt",),
-    "fm": ("sa", "bwt"),
-    "rlfm": ("bwt",),
-    "pst": ("sa", "lcp"),
-    "patricia": ("sa", "lcp"),
-    "qgram": (),
-    "stats": (),
-}
+
+def _kind(kind: str) -> _Kind:
+    """The :data:`BUILDERS` entry for ``kind``, or a clear refusal."""
+    if kind not in BUILDERS:
+        raise InvalidParameterError(
+            f"unknown index kind {kind!r} (known: {sorted(BUILDERS)})"
+        )
+    return BUILDERS[kind]
 
 
 def spec_for(kind: str, l: int = 64) -> IndexSpec:
     """The canonical :class:`IndexSpec` for one index kind at threshold ``l``.
 
-    One place owns the kind -> parameter mapping (the APX evenness floor,
-    the q-gram horizon clamp), shared by the CLI and the shard builder so
-    the two cannot parameterise the same kind differently.
+    The one place that owns each kind's parameter rules, shared by the
+    CLI, the serving ladders, the shard and live-corpus builders, the
+    watchdog's rebuilders and the validator:
+
+    * ``apx``, ``apx-ef`` and ``patricia`` sample every ``(l/2)``-th
+      position and need an even threshold: an odd ``l`` is rounded down
+      (at least 2), so an index built for ``l`` never errs by more than
+      ``l - 1``;
+    * ``qgram`` tabulates windows up to the horizon ``q``: ``l`` clamped
+      to ``[2, 8]``;
+    * ``cpst`` and ``pst`` take ``l`` as it is; ``fm``, ``rlfm`` and
+      ``stats`` take no parameter.
     """
-    if kind not in BUILDERS:
-        raise InvalidParameterError(
-            f"unknown index kind {kind!r} (known: {sorted(BUILDERS)})"
-        )
-    if kind in ("cpst", "pst", "patricia"):
+    _kind(kind)
+    if kind in ("cpst", "pst"):
         return IndexSpec(kind, params={"l": l})
-    if kind in ("apx", "apx-ef"):
+    if kind in ("apx", "apx-ef", "patricia"):
         return IndexSpec(kind, params={"l": max(2, l - l % 2)})
     if kind == "qgram":
         return IndexSpec(kind, params={"q": max(2, min(l, 8))})
@@ -153,12 +125,7 @@ def spec_for(kind: str, l: int = 64) -> IndexSpec:
 
 def default_tier_specs(l: int = 64) -> List[IndexSpec]:
     """The spec set matching :func:`repro.service.build_default_ladder`."""
-    return [
-        IndexSpec("cpst", params={"l": l}),
-        IndexSpec("apx", params={"l": max(2, l - l % 2)}),
-        IndexSpec("qgram", params={"q": max(2, min(l, 8))}),
-        IndexSpec("stats"),
-    ]
+    return [spec_for(kind, l) for kind in ("cpst", "apx", "qgram", "stats")]
 
 
 @dataclass
@@ -198,11 +165,7 @@ def build_all(
     if len(set(labels)) != len(labels):
         raise InvalidParameterError(f"spec labels must be unique, got {labels}")
     for spec in specs:
-        if spec.kind not in BUILDERS:
-            raise InvalidParameterError(
-                f"unknown index kind {spec.kind!r} "
-                f"(known: {sorted(BUILDERS)})"
-            )
+        _kind(spec.kind)
     if max_workers is not None and max_workers < 1:
         raise InvalidParameterError(
             f"max_workers must be >= 1, got {max_workers}"
@@ -214,19 +177,19 @@ def build_all(
     # Pre-warm the shared artifacts the spec set needs, each exactly once.
     needed: List[str] = []
     for spec in specs:
-        for artifact in _PREWARM[spec.kind]:
+        for artifact in BUILDERS[spec.kind].artifacts:
             if artifact not in needed:
                 needed.append(artifact)
     for artifact in needed:
         getattr(ctx, artifact)
     # Structures are keyed by threshold: pre-warm per distinct l.
     for spec in specs:
-        if spec.kind in ("cpst", "pst") :
+        if spec.kind in ("cpst", "pst"):
             ctx.structure(int(spec.params.get("l", 64)))
 
     def build_one(spec: IndexSpec) -> tuple:
         stage_started = time.perf_counter()
-        index = BUILDERS[spec.kind](ctx, **dict(spec.params))
+        index = spec.build(ctx)
         return spec.label, index, time.perf_counter() - stage_started
 
     if max_workers is None or max_workers <= 1 or len(specs) == 1:

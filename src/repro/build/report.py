@@ -14,7 +14,7 @@ serialises to ``benchmarks/results/build_report.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..space import SpaceReport
 
@@ -77,13 +77,6 @@ class BuildReport:
     def total_payload_bits(self) -> int:
         """Summed payload bits across every built index."""
         return sum(report.payload_bits for report in self.spaces.values())
-
-    def merged_space(self) -> Optional[SpaceReport]:
-        """One combined :class:`SpaceReport` over all built indexes."""
-        merged: Optional[SpaceReport] = None
-        for report in self.spaces.values():
-            merged = report if merged is None else merged.merged_with(report)
-        return merged
 
     def format(self) -> str:
         """The per-stage table ``repro build --build-report`` prints."""

@@ -38,16 +38,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict
-
-from .baselines import (
-    FMIndex,
-    PrunedPatriciaTrie,
-    PrunedSuffixTree,
-    QGramIndex,
-    RLFMIndex,
-)
-from .core import ApproxIndex, CompactPrunedSuffixTree
+from .build import spec_for
+from .core import CompactPrunedSuffixTree
 from .datasets import GENERATORS, generate
 from .errors import ReproError
 from .experiments.runner import EXPERIMENTS, run as run_experiment
@@ -55,15 +47,10 @@ from .space import text_bits
 from .suffixtree import PrunedSuffixTreeStructure
 from .textutil import Text, entropy_profile
 
-INDEX_BUILDERS: Dict[str, Callable] = {
-    "apx": lambda text, l: ApproxIndex(text, l),
-    "cpst": lambda text, l: CompactPrunedSuffixTree(text, l),
-    "pst": lambda text, l: PrunedSuffixTree(text, l),
-    "patricia": lambda text, l: PrunedPatriciaTrie(text, l),
-    "fm": lambda text, l: FMIndex(text),
-    "rlfm": lambda text, l: RLFMIndex(text),
-    "qgram": lambda text, l: QGramIndex(text, q=max(2, min(l, 8))),
-}
+#: The kinds ``count`` and ``build`` offer: those of :data:`repro.build.BUILDERS`
+#: less the Elias–Fano APX variant and the statistics tier. Each is built
+#: with :func:`repro.build.spec_for`'s parameters for ``--l``.
+INDEX_KINDS = ("apx", "cpst", "fm", "patricia", "pst", "qgram", "rlfm")
 
 
 def _load_text(source: str, size: int, seed: int) -> Text:
@@ -81,7 +68,7 @@ def _load_text(source: str, size: int, seed: int) -> Text:
 
 def _build_index(args: argparse.Namespace):
     text = _load_text(args.text, args.size, args.seed)
-    return text, INDEX_BUILDERS[args.index](text, args.l)
+    return text, spec_for(args.index, args.l).build(text)
 
 
 def _shard_plan(text: Text, shards: int):
@@ -130,7 +117,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    from .build import ArtifactCache, BuildContext, build_all, spec_for
+    from .build import ArtifactCache, BuildContext, build_all
     from .io import save_index
 
     text = _load_text(args.text, args.size, args.seed)
@@ -473,7 +460,7 @@ def cmd_serve_check(args: argparse.Namespace) -> int:
         if args.fault_rate > 0:
             spec = FaultSpec(error_rate=args.fault_rate)
             primary = FaultyIndex(
-                CompactPrunedSuffixTree.from_context(ctx, args.l),
+                spec_for("cpst", args.l).build(ctx),
                 {"count_or_none": spec, "automaton_count": spec},
                 seed=args.fault_seed,
             )
@@ -832,7 +819,7 @@ def _add_text_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--index", choices=sorted(INDEX_BUILDERS), default="cpst")
+    parser.add_argument("--index", choices=INDEX_KINDS, default="cpst")
     parser.add_argument("--l", type=int, default=64, help="error threshold")
 
 
@@ -862,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_text_arguments(p)
     p.add_argument(
-        "--index", nargs="+", choices=sorted(INDEX_BUILDERS), default=["cpst"],
+        "--index", nargs="+", choices=INDEX_KINDS, default=["cpst"],
         help="index kinds to build; all share one context (one suffix sort)",
     )
     p.add_argument("--l", type=int, default=64, help="error threshold")

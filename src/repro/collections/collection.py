@@ -99,9 +99,9 @@ class DocumentCollection:
         # Both tiers index the same concatenation: share one suffix sort
         # (the FM-index consumes ctx.sa/ctx.bwt, the CPST ctx.structure).
         ctx = BuildContext(self._text)
-        self._fm = FMIndex.from_context(ctx, sa_sample_rate=sa_sample_rate)
+        self._fm = FMIndex(ctx, sa_sample_rate=sa_sample_rate)
         self._cpst = (
-            CompactPrunedSuffixTree.from_context(ctx, estimate_threshold)
+            CompactPrunedSuffixTree(ctx, estimate_threshold)
             if estimate_threshold is not None
             else None
         )

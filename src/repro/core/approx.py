@@ -78,20 +78,17 @@ class ApproxIndex(OccurrenceEstimator, BackwardSearchAutomaton):
 
     error_model = ErrorModel.UNIFORM
 
-    def __init__(self, text: Text | str, l: int):
+    def __init__(self, text: "BuildContext | Text | str", l: int):
+        """Build over a text, or over a shared
+        :class:`~repro.build.BuildContext`, of which it consumes only the
+        memoised BWT: building beside other indexes of the same text
+        never repeats the suffix sort."""
         from ..build import BuildContext
 
         ctx = BuildContext.of(text)
-        self._init_from_bwt(ctx.bwt, ctx.text.alphabet, l)
-
-    @classmethod
-    def from_context(cls, ctx: "BuildContext", l: int) -> "ApproxIndex":
-        """Build from a shared :class:`~repro.build.BuildContext`.
-
-        Consumes only the memoised BWT, so building alongside other
-        indexes of the same text never repeats the suffix sort.
-        """
-        return cls.from_bwt(ctx.bwt, ctx.text.alphabet, l)
+        self._init_from_bwt(
+            np.asarray(ctx.bwt, dtype=np.int64), ctx.text.alphabet, l
+        )
 
     @classmethod
     def from_bwt(cls, bwt: np.ndarray, alphabet: Alphabet, l: int) -> "ApproxIndex":

@@ -19,13 +19,15 @@ bits overall, since the two components share the same asymptotics).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..core.approx import ApproxIndex
 from ..core.cpst import CompactPrunedSuffixTree
 from ..core.interface import ErrorModel, OccurrenceEstimator
 from ..space import SpaceReport
 from ..textutil import Alphabet, Text
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..build import BuildContext
 
 
 class CombinedIndex(OccurrenceEstimator):
@@ -33,13 +35,14 @@ class CombinedIndex(OccurrenceEstimator):
 
     error_model = ErrorModel.UNIFORM  # worst-case contract; often exact
 
-    def __init__(self, text: Text | str, l: int):
-        from ..build import BuildContext
+    def __init__(self, text: "BuildContext | Text | str", l: int):
+        from ..build import BuildContext, spec_for
 
         # Both components derive from one shared context: one suffix sort.
+        # At an odd l the APX is built at l - 1 (spec_for's even rule).
         ctx = BuildContext.of(text)
-        self._cpst = CompactPrunedSuffixTree.from_context(ctx, l)
-        self._apx = ApproxIndex.from_context(ctx, l if l % 2 == 0 else l + 1)
+        self._cpst = CompactPrunedSuffixTree(ctx, l)
+        self._apx = spec_for("apx", l).build(ctx)
         self._l = l
 
     # -- interface ----------------------------------------------------------

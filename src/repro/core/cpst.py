@@ -65,17 +65,13 @@ class CompactPrunedSuffixTree(OccurrenceEstimator, BackwardSearchAutomaton):
 
     error_model = ErrorModel.LOWER_SIDED
 
-    def __init__(self, text: Text | str, l: int):
+    def __init__(self, text: "BuildContext | Text | str", l: int):
+        """Build over a text, or over a shared
+        :class:`~repro.build.BuildContext`, whose memoised pruned-tree
+        structure for ``l`` (and hence suffix and LCP arrays) it consumes."""
         from ..build import BuildContext
 
         self._init_from_structure(BuildContext.of(text).structure(l))
-
-    @classmethod
-    def from_context(cls, ctx: "BuildContext", l: int) -> "CompactPrunedSuffixTree":
-        """Build from a shared :class:`~repro.build.BuildContext`:
-        consumes the memoised pruned-tree structure for ``l`` (and hence
-        the shared suffix and LCP arrays)."""
-        return cls.from_structure(ctx.structure(l))
 
     @classmethod
     def from_structure(cls, structure: PrunedSuffixTreeStructure) -> "CompactPrunedSuffixTree":

@@ -38,37 +38,18 @@ class ThresholdLadder(OccurrenceEstimator):
 
     def __init__(
         self,
-        text: Text | str,
+        text: "BuildContext | Text | str",
         thresholds: Sequence[int],
         *,
         max_workers: Optional[int] = None,
     ):
-        from ..build import BuildContext
-
-        self._init_from_context(BuildContext.of(text), thresholds, max_workers)
-
-    @classmethod
-    def from_context(
-        cls,
-        ctx: "BuildContext",
-        thresholds: Sequence[int],
-        *,
-        max_workers: Optional[int] = None,
-    ) -> "ThresholdLadder":
-        """Build every level from one shared
-        :class:`~repro.build.BuildContext` — one suffix sort total, and
+        """Build every level over a text, or over a shared
+        :class:`~repro.build.BuildContext`: one suffix sort total, and
         with ``max_workers > 1`` the per-level pruned structures and
         CPSTs are built concurrently."""
-        instance = cls.__new__(cls)
-        instance._init_from_context(ctx, thresholds, max_workers)
-        return instance
+        from ..build import BuildContext
 
-    def _init_from_context(
-        self,
-        ctx: "BuildContext",
-        thresholds: Sequence[int],
-        max_workers: Optional[int],
-    ) -> None:
+        ctx = BuildContext.of(text)
         levels = sorted(set(int(l) for l in thresholds), reverse=True)
         if not levels:
             raise InvalidParameterError("ladder needs at least one threshold")
@@ -78,7 +59,7 @@ class ThresholdLadder(OccurrenceEstimator):
         ctx.lcp
 
         def build_level(l: int) -> Tuple[int, CompactPrunedSuffixTree]:
-            return l, CompactPrunedSuffixTree.from_context(ctx, l)
+            return l, CompactPrunedSuffixTree(ctx, l)
 
         if max_workers is None or max_workers <= 1 or len(levels) == 1:
             built = [build_level(l) for l in levels]
@@ -186,9 +167,17 @@ def fit_threshold(
 ) -> Tuple[int, OccurrenceEstimator]:
     """Smallest threshold whose index fits in ``budget_bits`` payload.
 
-    Exponential probe upward from ``min_threshold`` followed by a binary
-    search; raises if even ``max_threshold`` (default ``n``) busts the
-    budget. Returns ``(threshold, built index)``.
+    A binary search over ``[min_threshold, max_threshold]`` (default
+    ``n``); raises if even ``max_threshold`` busts the budget. Returns
+    ``(threshold, built index)``.
+
+    APX exists only at even thresholds, and the search probes every
+    integer, so an odd probe builds the next even index *up*: the payload
+    stays non-increasing in the probed threshold, which the binary search
+    needs, and no probe builds an index finer than ``min_threshold``. The
+    threshold returned for APX may then be odd, one below the returned
+    index's own. (:func:`repro.build.spec_for` rounds *down* instead,
+    because there the caller names the error bound it must not exceed.)
     """
     from ..build import BuildContext
 
@@ -203,10 +192,7 @@ def fit_threshold(
             l += 1
         # Every probe of the search shares one context: the suffix sort
         # happens once no matter how many thresholds are tried.
-        from_context = getattr(index_class, "from_context", None)
-        if from_context is not None:
-            return from_context(ctx, l)
-        return index_class(text, l)  # type: ignore[call-arg]
+        return index_class(ctx, l)  # type: ignore[call-arg]
 
     def fits(l: int) -> Tuple[bool, OccurrenceEstimator]:
         index = build(l)

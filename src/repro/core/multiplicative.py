@@ -34,12 +34,6 @@ from ..space import SpaceReport
 from ..textutil import Alphabet, Text
 
 
-def _additive_threshold(epsilon: float, cutoff: int) -> int:
-    l = int(epsilon * cutoff)
-    l -= l % 2  # APX requires an even threshold
-    return max(2, l)
-
-
 class MultiplicativeIndex(OccurrenceEstimator):
     """``(1+eps)``-approximate counting for patterns with ``Count >= cutoff``."""
 
@@ -61,18 +55,17 @@ class MultiplicativeIndex(OccurrenceEstimator):
                 f"need epsilon * cutoff >= 2 for the multiplicative bound "
                 f"(got {epsilon * cutoff:.2f}); raise the cutoff or epsilon"
             )
-        from ..build import BuildContext
+        from ..build import BuildContext, spec_for
 
         # The APX and its certifier derive from one shared context: one
-        # suffix sort even when both components are requested.
+        # suffix sort even when both components are requested. The APX's
+        # additive threshold is floor(eps * cutoff), rounded down to even.
         ctx = BuildContext.of(text)
         self._epsilon = epsilon
         self._cutoff = cutoff
-        self._apx = ApproxIndex.from_context(
-            ctx, _additive_threshold(epsilon, cutoff)
-        )
+        self._apx: ApproxIndex = spec_for("apx", int(epsilon * cutoff)).build(ctx)
         self._certifier: Optional[CompactPrunedSuffixTree] = (
-            CompactPrunedSuffixTree.from_context(ctx, cutoff)
+            CompactPrunedSuffixTree(ctx, cutoff)
             if certify and cutoff >= 2
             else None
         )

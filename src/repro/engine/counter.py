@@ -62,17 +62,36 @@ class IndexCounter:
     caches nothing, since such an index may be a live corpus or a daemon
     whose answers change under mutation, and serialises its calls on one
     lock, as the planner does.
+
+    An index whose automaton view belongs to its current shard set (a
+    sharded estimator) exposes a ``shard_version`` that quarantine,
+    readmission and shard replacement move. When it has moved since the
+    planner was built, the next call rebuilds the planner and the rule
+    over the live shard set, dropping the old automata and memo; the
+    engine counters carry on.
     """
 
     def __init__(self, index, max_states: Optional[int] = 4096):
         self._index = index
+        self._max_states = max_states
         # One set of counters, behind one lock, for both sides: a sharded
         # estimator has a planner yet certifies through its fan-out (step 2
         # of the rule).
         self._stats = EngineStats()
         self._lock = threading.RLock()
+        self._bind()
+
+    def _bind(self) -> None:
+        """Build the planner and pick the certification rule over the
+        index's automaton view as it is now."""
+        index = self._index
+        # Read before the automaton is built, so a move in between leaves
+        # the stored version behind and the next call rebinds again; stored
+        # last, so a caller that sees it also sees the planner built for it.
+        version = getattr(index, "shard_version", None)
         self._planner = planner_for(
-            index, max_states=max_states, stats=self._stats, lock=self._lock
+            index, max_states=self._max_states, stats=self._stats,
+            lock=self._lock,
         )
         caps = None if self._planner is None else self._planner.capabilities
         if caps is not None and caps.lower_sided:
@@ -85,6 +104,15 @@ class IndexCounter:
             self._certify = _COUNT
         else:
             self._certify = None
+        self._version = version
+
+    def _follow(self) -> None:
+        """Rebind once the index's shard set has moved since :meth:`_bind`
+        (each counting method checks inline first: an unversioned index
+        pays one attribute test per call)."""
+        with self._lock:
+            if self._index.shard_version != self._version:
+                self._bind()
 
     @property
     def planner(self) -> Optional[TrieBatchPlanner]:
@@ -111,6 +139,8 @@ class IndexCounter:
 
     def count(self, pattern: str, deadline: "Deadline | None" = None) -> int:
         """Same result as ``index.count(pattern)``."""
+        if self._version is not None and self._index.shard_version != self._version:
+            self._follow()
         if self._planner is not None:
             return self._planner.count(pattern, deadline)
         return self._ask("count", pattern, deadline)
@@ -119,6 +149,8 @@ class IndexCounter:
         self, patterns: Sequence[str], deadline: "Deadline | None" = None
     ) -> List[int]:
         """Batch counting: one result per pattern, in order."""
+        if self._version is not None and self._index.shard_version != self._version:
+            self._follow()
         if self._planner is not None:
             return self._planner.count_many(patterns, deadline)
         return [self._ask("count", pattern, deadline) for pattern in patterns]
@@ -128,6 +160,8 @@ class IndexCounter:
     ) -> Optional[int]:
         """The certified count of ``pattern``, or ``None`` when the index
         cannot certify it (see the class docstring for the rule)."""
+        if self._version is not None and self._index.shard_version != self._version:
+            self._follow()
         if self._certify == _PLANNER:
             return self._planner.count_or_none(pattern, deadline)  # type: ignore[union-attr]
         if self._certify == _INDEX:
@@ -141,6 +175,8 @@ class IndexCounter:
     ) -> List[Optional[int]]:
         """Batch variant of :meth:`count_or_none`: one certified count (or
         ``None``) per pattern, in order."""
+        if self._version is not None and self._index.shard_version != self._version:
+            self._follow()
         if self._certify == _PLANNER:
             return self._planner.count_or_none_many(patterns, deadline)  # type: ignore[union-attr]
         if self._certify == _INDEX:

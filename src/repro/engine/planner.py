@@ -119,11 +119,6 @@ class TrieBatchPlanner:
             self._states.clear()
             self._results.clear()
 
-    def clear_states(self) -> None:
-        """Drop only the state cache; memoised results survive."""
-        with self._lock:
-            self._states.clear()
-
     # -- public counting surface --------------------------------------------
 
     def count(self, pattern: str, deadline: "Deadline | None" = None) -> int:

@@ -11,7 +11,9 @@
 * ``budget`` — space budget -> affordable threshold -> MOL error (X8)
 
 ``repro.experiments.report.generate`` runs everything into one markdown
-document (CLI: ``repro report``).
+document (CLI: ``repro report``). Every experiment builds its indexes
+from one :class:`~repro.build.BuildContext` per corpus and samples its
+workload with :func:`~repro.textutil.sample_from_text`.
 """
 
 from . import (
@@ -27,7 +29,6 @@ from . import (
     runner,
     scaling,
 )
-from .common import CorpusContext
 from .runner import EXPERIMENTS, run
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "scaling",
     "errordist",
     "estimators",
-    "CorpusContext",
     "EXPERIMENTS",
     "run",
 ]

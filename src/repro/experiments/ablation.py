@@ -22,9 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..datasets import dataset_names
+from ..baselines.fm import FMIndex
+from ..build import BuildContext
+from ..core.approx import ApproxIndex
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import dataset_names, generate
 from ..textutil import zeroth_order_entropy
-from .common import CorpusContext
 from .tables import format_table
 
 
@@ -65,9 +68,9 @@ def run_halving(
     """Size ratios when halving the threshold."""
     rows: List[HalvingRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
-        apx = {l: ctx.build_apx(l).space_report().payload_bits for l in thresholds}
-        cpst = {l: ctx.build_cpst(l).space_report().payload_bits for l in thresholds}
+        ctx = BuildContext(generate(name, size, seed), name=name)
+        apx = {l: ApproxIndex(ctx, l).size_in_bits() for l in thresholds}
+        cpst = {l: CompactPrunedSuffixTree(ctx, l).size_in_bits() for l in thresholds}
         for small, large in zip(thresholds, thresholds[1:]):
             if large != 2 * small:
                 continue
@@ -85,7 +88,7 @@ def run_nodes(
     """``m`` vs ``n/l`` across corpora and thresholds."""
     rows: List[NodesRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         for l in thresholds:
             m = ctx.structure(l).num_nodes
             expected = max(1, size // l)
@@ -101,7 +104,7 @@ def run_wavelet(
 
     rows: List[WaveletRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         h0 = zeroth_order_entropy(ctx.text.raw)
         h2 = kth_order_entropy(ctx.text.raw, 2)
         rows.append(
@@ -109,9 +112,9 @@ def run_wavelet(
                 dataset=name,
                 h0_bits=int(h0 * len(ctx.text)),
                 h2_bits=int(h2 * len(ctx.text)),
-                huffman_bits=ctx.build_fm("huffman").space_report().payload_bits,
-                balanced_bits=ctx.build_fm("matrix").space_report().payload_bits,
-                rrr_bits=ctx.build_fm("huffman-rrr").space_report().payload_bits,
+                huffman_bits=FMIndex(ctx, "huffman").space_report().payload_bits,
+                balanced_bits=FMIndex(ctx, "matrix").space_report().payload_bits,
+                rrr_bits=FMIndex(ctx, "huffman-rrr").space_report().payload_bits,
             )
         )
     return rows
@@ -147,9 +150,9 @@ def run_encoding(
 
     rows: List[EncodingRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         for l in thresholds:
-            bv = ctx.build_apx(l).space_report().payload_bits
+            bv = ApproxIndex(ctx, l).space_report().payload_bits
             ef = ApproxIndexEF.from_bwt(
                 ctx.bwt, ctx.text.alphabet, l
             ).space_report().payload_bits
@@ -168,12 +171,12 @@ def run_bounds(
 
     rows: List[BoundsRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         for l in thresholds:
             sheet = evaluate_bounds(ctx.text, l, m=ctx.structure(l).num_nodes)
             for index_name, bits in (
-                ("APPROX", ctx.build_apx(l).space_report().payload_bits),
-                ("CPST", ctx.build_cpst(l).space_report().payload_bits),
+                ("APPROX", ApproxIndex(ctx, l).space_report().payload_bits),
+                ("CPST", CompactPrunedSuffixTree(ctx, l).space_report().payload_bits),
             ):
                 rows.append(
                     BoundsRow(

@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from ..build import BuildContext
 from ..core.approx import ApproxIndex
 from ..core.cpst import CompactPrunedSuffixTree
 from ..core.ladder import fit_threshold
-from ..datasets import dataset_names
+from ..datasets import dataset_names, generate
 from ..errors import InvalidParameterError
 from ..selectivity import MOLEstimator
 from ..space import text_bits
-from .common import CorpusContext
+from ..textutil import sample_from_text
 from .tables import format_table
 
 
@@ -46,17 +47,17 @@ def run(
     """Fit thresholds per budget and measure the estimation quality."""
     rows: List[BudgetRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         reference = text_bits(len(ctx.text), ctx.text.sigma)
-        workload = ctx.sample_patterns(pattern_length, patterns)
+        workload = sample_from_text(
+            ctx.text, pattern_length, patterns, seed=(seed, 1, pattern_length)
+        )
         truths = {p: ctx.text.count_naive(p) for p in set(workload)}
         for percent in budgets_percent:
             budget = int(reference * percent / 100)
             try:
-                cpst_l, cpst = fit_threshold(
-                    ctx.text, budget, CompactPrunedSuffixTree
-                )
-                apx_l, _ = fit_threshold(ctx.text, budget, ApproxIndex)
+                cpst_l, cpst = fit_threshold(ctx, budget, CompactPrunedSuffixTree)
+                apx_l, _ = fit_threshold(ctx, budget, ApproxIndex)
             except InvalidParameterError:
                 continue  # budget too small even for the coarsest index
             estimator = MOLEstimator(cpst)

@@ -15,9 +15,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..datasets import dataset_names
+from ..build import BuildContext
+from ..datasets import dataset_names, generate
 from ..textutil import kth_order_entropy, zeroth_order_entropy
-from .common import CorpusContext
 from .tables import format_table
 
 
@@ -43,7 +43,7 @@ def run(
     """Characterise every corpus."""
     rows: List[CorpusRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         raw = ctx.text.raw
         runs = 1 + int(np.count_nonzero(np.diff(ctx.bwt)))
         rows.append(

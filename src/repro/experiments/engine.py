@@ -25,9 +25,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ..baselines.fm import FMIndex
+from ..build import BuildContext, spec_for
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import dataset_names, generate
 from ..engine import EngineStats, IndexCounter, TrieBatchPlanner
-from ..datasets import dataset_names
-from .common import CorpusContext
+from ..textutil import sample_from_text
 from .tables import format_table
 
 
@@ -123,18 +126,20 @@ def run(
              **(thresholds or {})}
     rows: List[EngineRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         workload = [
             pattern
             for length in pattern_lengths
-            for pattern in ctx.sample_patterns(length, patterns_per_length)
+            for pattern in sample_from_text(
+                ctx.text, length, patterns_per_length, seed=(seed, 1, length)
+            )
         ]
         l = picks.get(name, 16)
-        apx_l = max(2, l - l % 2)
+        apx = spec_for("apx", l).build(ctx)
         for label, index in (
-            ("FM", ctx.build_fm()),
-            (f"APX-{apx_l}", ctx.build_apx(apx_l)),
-            (f"CPST-{l}", ctx.build_cpst(l)),
+            ("FM", FMIndex(ctx)),
+            (f"APX-{apx.threshold}", apx),
+            (f"CPST-{l}", CompactPrunedSuffixTree(ctx, l)),
         ):
             rows.append(measure(index, workload, name, label))
     return rows

@@ -16,8 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..datasets import dataset_names
-from .common import CorpusContext
+from ..baselines.patricia import PrunedPatriciaTrie
+from ..baselines.pst import PrunedSuffixTree
+from ..build import BuildContext
+from ..core.approx import ApproxIndex
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import dataset_names, generate
+from ..textutil import sample_from_text
 from .tables import format_table
 
 
@@ -34,10 +39,12 @@ class BoundCheckRow:
     mean_error: float
 
 
-def _workload(ctx: CorpusContext, per_length: int = 40) -> List[str]:
+def _workload(ctx: BuildContext, seed: int, per_length: int = 40) -> List[str]:
     patterns: set[str] = set()
     for length in (1, 2, 3, 4, 6, 8, 12):
-        patterns.update(ctx.sample_patterns(length, per_length))
+        patterns.update(
+            sample_from_text(ctx.text, length, per_length, seed=(seed, 1, length))
+        )
     return sorted(patterns)
 
 
@@ -50,11 +57,11 @@ def run(
     """Validate every index's error contract on every corpus."""
     rows: List[BoundCheckRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
-        patterns = _workload(ctx)
+        ctx = BuildContext(generate(name, size, seed), name=name)
+        patterns = _workload(ctx, seed)
         truths = {p: ctx.text.count_naive(p) for p in patterns}
         for l in thresholds:
-            apx = ctx.build_apx(l)
+            apx = ApproxIndex(ctx, l)
             violations = 0
             errors = []
             for pattern in patterns:
@@ -70,8 +77,8 @@ def run(
                 )
             )
             for index_name, index in (
-                ("CPST", ctx.build_cpst(l)),
-                ("PST", ctx.build_pst(l)),
+                ("CPST", CompactPrunedSuffixTree(ctx, l)),
+                ("PST", PrunedSuffixTree(ctx, l)),
             ):
                 violations = 0
                 errors = []
@@ -92,7 +99,7 @@ def run(
                         max(errors), sum(errors) / len(errors),
                     )
                 )
-            patricia = ctx.build_patricia(l)
+            patricia = PrunedPatriciaTrie(ctx, l)
             violations = 0
             errors = []
             for pattern in patterns:

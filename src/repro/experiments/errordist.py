@@ -19,8 +19,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..datasets import dataset_names
-from .common import CorpusContext
+from ..build import BuildContext
+from ..core.approx import ApproxIndex
+from ..datasets import dataset_names, generate
+from ..textutil import sample_from_text
 from .tables import format_table
 
 
@@ -49,13 +51,15 @@ def run(
     """Measure the APX error distribution on in-text patterns."""
     rows: List[ErrorDistRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         patterns: List[str] = []
         for length in pattern_lengths:
-            patterns.extend(ctx.sample_patterns(length, per_length))
+            patterns.extend(
+                sample_from_text(ctx.text, length, per_length, seed=(seed, 1, length))
+            )
         truths = {p: ctx.text.count_naive(p) for p in set(patterns)}
         for l in thresholds:
-            apx = ctx.build_apx(l)
+            apx = ApproxIndex(ctx, l)
             errors = np.asarray(
                 [apx.count(p) - truths[p] for p in patterns], dtype=np.int64
             )

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Type
 
-from ..datasets import dataset_names
+from ..build import BuildContext
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import dataset_names, generate
 from ..selectivity import (
     KVIEstimator,
     MOCEstimator,
@@ -22,7 +24,7 @@ from ..selectivity import (
     MOLEstimator,
     SelectivityEstimator,
 )
-from .common import CorpusContext
+from ..textutil import sample_from_text
 from .tables import format_table
 
 ESTIMATORS: Dict[str, Type[SelectivityEstimator]] = {
@@ -58,14 +60,16 @@ def run(
     """Compare all five estimators over a shared CPST backend."""
     rows: List[EstimatorRow] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
-        backend = ctx.build_cpst(l)
+        ctx = BuildContext(generate(name, size, seed), name=name)
+        backend = CompactPrunedSuffixTree(ctx, l)
         estimators = {
             est_name: cls(backend) for est_name, cls in ESTIMATORS.items()
         }
         patterns: List[str] = []
         for length in pattern_lengths:
-            patterns.extend(ctx.sample_patterns(length, per_length))
+            patterns.extend(
+                sample_from_text(ctx.text, length, per_length, seed=(seed, 1, length))
+            )
         truths = {p: ctx.text.count_naive(p) for p in set(patterns)}
         mean_errors = {}
         for est_name, estimator in estimators.items():

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..datasets import dataset_names
-from .common import CorpusContext
+from ..build import BuildContext
+from ..datasets import dataset_names, generate
 from .tables import format_table
 
 
@@ -39,7 +39,7 @@ def run(
     """Compute the Figure 7 statistics for every corpus and threshold."""
     rows: List[Figure7Row] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         for l in thresholds:
             structure = ctx.structure(l)
             rows.append(

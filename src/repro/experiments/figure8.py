@@ -18,9 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..datasets import dataset_names
+from ..baselines.fm import FMIndex
+from ..baselines.patricia import PrunedPatriciaTrie
+from ..baselines.pst import PrunedSuffixTree
+from ..build import BuildContext
+from ..core.approx import ApproxIndex
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import dataset_names, generate
 from ..space import text_bits
-from .common import CorpusContext
 from .tables import format_table
 
 
@@ -52,7 +57,7 @@ def run(
     """
     rows: List[Figure8Row] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         reference = text_bits(len(ctx.text), ctx.text.sigma)
 
         def add(index_name: str, l: int, bits: int) -> None:
@@ -60,7 +65,7 @@ def run(
                 Figure8Row(name, index_name, l, bits, 100.0 * bits / reference)
             )
 
-        add("FM-index", 1, ctx.build_fm().space_report().payload_bits)
+        add("FM-index", 1, FMIndex(ctx).space_report().payload_bits)
         if include_extras:
             from ..baselines.qgram import QGramIndex
             from ..baselines.rlfm import RLFMIndex
@@ -72,11 +77,11 @@ def run(
             )
             add("QGram4", 1, QGramIndex(ctx.text, 4).space_report().payload_bits)
         for l in thresholds:
-            add("APPROX", l, ctx.build_apx(l).space_report().payload_bits)
-            add("PST", l, ctx.build_pst(l).space_report().payload_bits)
-            add("CPST", l, ctx.build_cpst(l).space_report().payload_bits)
+            add("APPROX", l, ApproxIndex(ctx, l).space_report().payload_bits)
+            add("PST", l, PrunedSuffixTree(ctx, l).space_report().payload_bits)
+            add("CPST", l, CompactPrunedSuffixTree(ctx, l).space_report().payload_bits)
             if include_patricia:
-                add("Patricia", l, ctx.build_patricia(l).space_report().payload_bits)
+                add("Patricia", l, PrunedPatriciaTrie(ctx, l).size_in_bits())
     return rows
 
 

@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..datasets import dataset_names
+from ..baselines.pst import PrunedSuffixTree
+from ..build import BuildContext
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import dataset_names, generate
 from ..selectivity import MOLEstimator
-from .common import CorpusContext
+from ..textutil import sample_from_text
 from .tables import format_table
 
 
@@ -47,7 +50,7 @@ class Figure9Row:
 
 
 def match_thresholds(
-    ctx: CorpusContext,
+    ctx: BuildContext,
     cpst_l: int,
     candidates: Sequence[int] = (8, 16, 32, 64, 128, 256, 512, 1024, 2048),
 ) -> Tuple[int, int, int]:
@@ -58,21 +61,23 @@ def match_thresholds(
     same space occupancy"); on label-heavy corpora the matched PST
     threshold is far larger than the CPST one.
     """
-    cpst_bits = ctx.build_cpst(cpst_l).space_report().payload_bits
+    cpst_bits = CompactPrunedSuffixTree(ctx, cpst_l).space_report().payload_bits
     best_l, best_gap = None, None
     for l in candidates:
         if l < cpst_l:
             continue
-        bits = ctx.build_pst(l).space_report().payload_bits
+        bits = PrunedSuffixTree(ctx, l).space_report().payload_bits
         gap = abs(math.log(max(1, bits) / max(1, cpst_bits)))
         if best_gap is None or gap < best_gap:
             best_l, best_gap = l, gap
     assert best_l is not None
-    pst_bits = ctx.build_pst(best_l).space_report().payload_bits
+    pst_bits = PrunedSuffixTree(ctx, best_l).space_report().payload_bits
     return best_l, pst_bits, cpst_bits
 
 
-def _error_stats(estimator: MOLEstimator, ctx: CorpusContext, patterns: List[str]) -> Figure9Cell:
+def _error_stats(
+    estimator: MOLEstimator, ctx: BuildContext, patterns: List[str]
+) -> Figure9Cell:
     errors = []
     for pattern in patterns:
         true = ctx.text.count_naive(pattern)
@@ -100,16 +105,18 @@ def run(
     picks = {**defaults, **(cpst_thresholds or {})}
     rows: List[Figure9Row] = []
     for name in datasets or dataset_names():
-        ctx = CorpusContext(name, size, seed)
+        ctx = BuildContext(generate(name, size, seed), name=name)
         cpst_l = picks.get(name, 16)
         pst_l, pst_bits, cpst_bits = match_thresholds(ctx, cpst_l)
-        pst_estimator = MOLEstimator(ctx.build_pst(pst_l))
-        cpst_estimator = MOLEstimator(ctx.build_cpst(cpst_l))
+        pst_estimator = MOLEstimator(PrunedSuffixTree(ctx, pst_l))
+        cpst_estimator = MOLEstimator(CompactPrunedSuffixTree(ctx, cpst_l))
         pst_errors: Dict[int, Figure9Cell] = {}
         cpst_errors: Dict[int, Figure9Cell] = {}
         ratios: List[float] = []
         for length in pattern_lengths:
-            patterns = ctx.sample_patterns(length, patterns_per_length)
+            patterns = sample_from_text(
+                ctx.text, length, patterns_per_length, seed=(seed, 1, length)
+            )
             pst_errors[length] = _error_stats(pst_estimator, ctx, patterns)
             cpst_errors[length] = _error_stats(cpst_estimator, ctx, patterns)
             denom = max(cpst_errors[length].mean_error, 1e-9)

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from .common import CorpusContext
+from ..baselines.fm import FMIndex
+from ..baselines.pst import PrunedSuffixTree
+from ..build import BuildContext
+from ..core.approx import ApproxIndex
+from ..core.cpst import CompactPrunedSuffixTree
+from ..datasets import generate
 from .tables import format_table
 
 
@@ -38,16 +43,16 @@ def run(
     """Sweep corpus sizes at a fixed threshold."""
     rows: List[ScalingRow] = []
     for size in sizes:
-        ctx = CorpusContext(dataset, size, seed)
+        ctx = BuildContext(generate(dataset, size, seed), name=dataset)
         rows.append(
             ScalingRow(
                 dataset=dataset,
                 size=size,
                 l=l,
-                fm_bits_per_symbol=ctx.build_fm().space_report().payload_bits / size,
-                apx_bits_per_symbol=ctx.build_apx(l).space_report().payload_bits / size,
-                cpst_bits_per_symbol=ctx.build_cpst(l).space_report().payload_bits / size,
-                pst_bits_per_symbol=ctx.build_pst(l).space_report().payload_bits / size,
+                fm_bits_per_symbol=FMIndex(ctx).space_report().payload_bits / size,
+                apx_bits_per_symbol=ApproxIndex(ctx, l).size_in_bits() / size,
+                cpst_bits_per_symbol=CompactPrunedSuffixTree(ctx, l).size_in_bits() / size,
+                pst_bits_per_symbol=PrunedSuffixTree(ctx, l).size_in_bits() / size,
             )
         )
     return rows

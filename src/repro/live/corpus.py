@@ -39,6 +39,7 @@ state containing every acknowledged mutation.
 
 from __future__ import annotations
 
+import functools
 import threading
 from pathlib import Path
 from typing import (
@@ -125,7 +126,7 @@ def _assemble_shards(
     never trusted. Returns ``(estimator | None, base documents,
     indexes rebuilt)``.
     """
-    from ..build.pipeline import BUILDERS, spec_for
+    from ..build.pipeline import spec_for
 
     texts_raw = verify_segments(directory, manifest)
     config = manifest.config
@@ -157,11 +158,9 @@ def _assemble_shards(
     builders: Dict[str, Callable[[], OccurrenceEstimator]] = {}
     rebuilt = 0
     for entry, (name, text) in zip(manifest.shards, shard_texts):
-        ctx = BuildContext(text, cache=cache, name=name)
-
-        def build_fresh(ctx=ctx):
-            return BUILDERS[spec.kind](ctx, **dict(spec.params))
-
+        build_fresh = functools.partial(
+            spec.build, BuildContext(text, cache=cache, name=name)
+        )
         try:
             index = load_index(directory / entry.index)
         except (ReproError, OSError):

@@ -164,11 +164,6 @@ class Manifest:
     def filename(self) -> str:
         return f"manifest-{self.generation:010d}.rman"
 
-    @property
-    def document_names(self) -> List[str]:
-        """Every compacted document name, in shard order."""
-        return [name for shard in self.shards for name in shard.documents]
-
     def encode(self) -> bytes:
         """The framed on-disk bytes of this manifest."""
         payload = json.dumps(

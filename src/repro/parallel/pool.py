@@ -190,11 +190,6 @@ class SegmentPool:
     def keys(self) -> List[str]:
         return list(self._segments)
 
-    @property
-    def total_bytes(self) -> int:
-        """Bytes resident in shared blocks — once per host, not per worker."""
-        return sum(seg.nbytes for seg in self._segments.values())
-
     def close(self) -> None:
         """Close and unlink every block. Idempotent."""
         if self._closed:

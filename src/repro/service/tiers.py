@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from ..space import SpaceReport
 from ..textutil import Alphabet, Text
 from .breaker import CircuitBreaker
 from .deadline import Deadline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..build import BuildContext
 
 
 class TierDeclined(Exception):
@@ -49,19 +52,15 @@ class TextStatsEstimator(OccurrenceEstimator):
 
     error_model = ErrorModel.UPPER_BOUND
 
-    def __init__(self, text: Text | str):
-        if isinstance(text, str):
-            text = Text(text)
+    def __init__(self, text: "BuildContext | Text | str"):
+        """Build over a text (a :class:`~repro.build.BuildContext` gives
+        its text: pure character statistics, no shared artifact)."""
+        from ..build import BuildContext
+
+        text = BuildContext.of(text).text
         self._alphabet = text.alphabet
         self._text_length = len(text)
         self._frequencies = Counter(text.raw)
-
-    @classmethod
-    def from_context(cls, ctx) -> "TextStatsEstimator":
-        """Build from a shared :class:`~repro.build.BuildContext` (pure
-        character statistics — no shared artifact consumed, present for
-        pipeline uniformity)."""
-        return cls(ctx.text)
 
     @property
     def alphabet(self) -> Alphabet:

@@ -28,6 +28,7 @@ Every action is recorded as a :class:`QuarantineEvent` for operators.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -210,22 +211,12 @@ def default_rebuilders(
     (:class:`~repro.build.ArtifactCache`) to recover the artifacts from
     disk after a restart.
     """
-    from ..baselines import QGramIndex
-    from ..build import BuildContext
-    from ..core import ApproxIndex, CompactPrunedSuffixTree
-    from .tiers import TextStatsEstimator
+    from ..build import BuildContext, default_tier_specs
 
-    if context is not None:
-        ctx = context
-    else:
-        ctx = BuildContext(
-            text if isinstance(text, Text) else Text(text), cache=cache
-        )
+    ctx = context if context is not None else BuildContext(text, cache=cache)
     return {
-        "cpst": lambda: CompactPrunedSuffixTree.from_context(ctx, l),
-        "apx": lambda: ApproxIndex.from_context(ctx, max(2, l - l % 2)),
-        "qgram": lambda: QGramIndex.from_context(ctx, q=max(2, min(l, 8))),
-        "stats": lambda: TextStatsEstimator.from_context(ctx),
+        spec.kind: functools.partial(spec.build, ctx)
+        for spec in default_tier_specs(l)
     }
 
 
@@ -453,10 +444,10 @@ class CorruptionWatchdog:
             if probes and all(probe.ok for probe in probes):
                 estimator.readmit_shard(name)
                 event.readmitted = True
-        # The tier served throughout; flush its memo cache so answers
-        # computed through the corrupt shard (and the quarantine-period
-        # ceilings) do not outlive the intervention.
-        tier.replace_estimator(estimator)
+        # The tier served throughout. Quarantine, rebuild and readmission
+        # each moved the estimator's shard version, so the tier's counter
+        # drops what it memoised through the corrupt shard on its next
+        # answer.
         return True
 
     # -- background thread ----------------------------------------------------

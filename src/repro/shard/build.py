@@ -20,10 +20,11 @@ same per-shard contexts, so each shard's suffix array is sorted once.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..build import ArtifactCache, BuildContext, build_all, spec_for
 from ..build.report import BuildReport
@@ -186,7 +187,7 @@ def _build_kinds(
                 {shard.name: shard.text for shard in plan.shards} if keep_texts else {}
             ),
             builders={
-                shard.name: _rebuilder(contexts[shard.name], spec)
+                shard.name: functools.partial(spec.build, contexts[shard.name])
                 for shard in plan.shards
             },
         )
@@ -254,15 +255,6 @@ def build_process_sharded(
     return process_estimator, report
 
 
-def _rebuilder(ctx: BuildContext, spec) -> Callable[[], OccurrenceEstimator]:
-    from ..build.pipeline import BUILDERS
-
-    def rebuild() -> OccurrenceEstimator:
-        return BUILDERS[spec.kind](ctx, **dict(spec.params))
-
-    return rebuild
-
-
 def build_sharded_ladder(
     plan: ShardPlan,
     l: int = 64,
@@ -282,22 +274,21 @@ def build_sharded_ladder(
     ``primary`` substitutes the first tier's estimator — the hook chaos
     tests and fault injection use.
     """
-    from ..baselines.qgram import QGramIndex
     from ..service.resilient import ResilientEstimator
-    from ..service.tiers import TextStatsEstimator, Tier
+    from ..service.tiers import Tier
     from ..textutil import Text
 
     (cpst_sharded, _), (apx_sharded, _) = _build_kinds(
         plan, ("cpst", "apx"), l, policy=policy, cache=cache, max_workers=max_workers
     )
-    whole = Text.from_rows(
+    whole = BuildContext(Text.from_rows(
         [
             body
             for shard in plan.shards
             for body in _shard_bodies(shard, plan.separator)
         ],
         separator=plan.separator,
-    )
+    ))
     tiers = [
         Tier(
             primary if primary is not None else cpst_sharded,
@@ -305,10 +296,8 @@ def build_sharded_ladder(
             certified_only=True,
         ),
         Tier(apx_sharded, "apx-sharded"),
-        Tier(
-            QGramIndex(whole, q=max(2, min(l, 8))), "qgram", certified_only=True
-        ),
-        Tier(TextStatsEstimator(whole), "stats", always_available=True),
+        Tier(spec_for("qgram", l).build(whole), "qgram", certified_only=True),
+        Tier(spec_for("stats", l).build(whole), "stats", always_available=True),
     ]
     return ResilientEstimator(tiers, deadline_seconds=deadline_seconds)
 

@@ -216,6 +216,7 @@ class ShardedEstimator(ShardFanOut):
             slot.estimator = estimator
             slot.counter = IndexCounter(estimator, max_states=self._max_states)
             self._alphabet = None
+            self._version += 1
 
     def rebuild_shard(self, name: str) -> float:
         """Rebuild one shard via its registered builder; returns the wall
@@ -342,9 +343,11 @@ class ShardedAutomaton(BackwardSearchAutomaton):
     "below threshold", which still contributes ``min(l_i - 1, ceiling)``).
 
     Quarantine flags are read live at each step, so a shard quarantined
-    mid-lifetime degrades (soundly) rather than serving stale answers;
-    serving tiers still rebuild their planner after quarantine changes to
-    drop memoised results.
+    mid-lifetime degrades (soundly) rather than serving stale answers. The
+    automata and the dead-state rules are fixed at construction, so every
+    quarantine, readmission and replacement moves the estimator's
+    ``shard_version``, and an :class:`~repro.engine.IndexCounter` builds
+    a fresh product (and drops its memoised results) when it has moved.
     """
 
     def __init__(

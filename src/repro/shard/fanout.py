@@ -297,6 +297,7 @@ class ShardFanOut(FanOut):
         self._refs = refs
         self._lock = threading.RLock()
         self._alphabet: Optional[Alphabet] = None
+        self._version = 0
 
     def _targets(self, context: Any) -> Sequence[Tuple[Any, Slot]]:
         return list(zip(self._refs, self._slots))
@@ -351,6 +352,13 @@ class ShardFanOut(FanOut):
 
     # -- shard lifecycle ------------------------------------------------------
 
+    @property
+    def shard_version(self) -> int:
+        """Moved by every quarantine, readmission and shard replacement.
+        Whatever was cached over the shard set (a tier counter's product
+        automaton and its memoised results) is stale once it moves."""
+        return self._version
+
     def _slot(self, name: str) -> Any:
         for slot in self._slots:
             if slot.name == name:
@@ -368,6 +376,7 @@ class ShardFanOut(FanOut):
         with self._lock:
             slot.quarantined = True
             slot.reason = reason
+            self._version += 1
 
     def quarantine_shard(self, name: str, reason: str = "") -> None:
         """Pull one shard out of service; the others keep answering."""
@@ -386,6 +395,7 @@ class ShardFanOut(FanOut):
         with self._lock:
             slot.quarantined = False
             slot.reason = ""
+            self._version += 1
 
     def __repr__(self) -> str:
         degraded = len(self.degraded_shards)

@@ -60,10 +60,6 @@ class SpaceReport:
     def payload_bytes(self) -> float:
         return self.payload_bits / 8
 
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8
-
     def ratio_to(self, reference_bits: int) -> float:
         """Payload size as a fraction of ``reference_bits`` (e.g. the text)."""
         if reference_bits <= 0:

@@ -18,11 +18,13 @@ from .text import Text
 
 
 def sample_from_text(
-    text: Text | str, length: int, count: int, seed: int = 0
+    text: Text | str, length: int, count: int, seed: int | Sequence[int] = 0
 ) -> List[str]:
     """``count`` substrings of the given length, uniform over positions.
 
     Mirrors the paper's Figure 9 workload (duplicates allowed, as there).
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts; the
+    experiments pass ``(corpus seed, 1, length)``.
     """
     raw = text.raw if isinstance(text, Text) else text
     if length < 1:

@@ -170,40 +170,37 @@ def _length_based(index: OccurrenceEstimator) -> bool:
 def validate_all(
     text: Text | str, l: int = 16, seed: int = 0
 ) -> List[ValidationReport]:
-    """Validate one instance of every bundled index on the given text."""
-    from .baselines import (
-        FMIndex,
-        PrunedPatriciaTrie,
-        PrunedSuffixTree,
-        QGramIndex,
-        RLFMIndex,
-    )
-    from .core import ApproxIndex, ApproxIndexEF, CombinedIndex, CompactPrunedSuffixTree
+    """Validate one instance of every bundled index on the given text.
 
-    t = text if isinstance(text, Text) else Text(text)
-    even_l = l if l % 2 == 0 else l + 1
+    Every index is built from one :class:`~repro.build.BuildContext` (one
+    suffix sort), with each kind's parameters from
+    :func:`~repro.build.spec_for`: at an odd ``l`` the APX indexes and the
+    Patricia trie are built at ``l - 1``.
+    """
+    from .baselines import QGramIndex
+    from .build import BuildContext, spec_for
+    from .core import CombinedIndex
+
+    ctx = BuildContext(text)
+    t = ctx.text
     indexes: List[OccurrenceEstimator] = [
-        FMIndex(t),
-        RLFMIndex(t),
-        ApproxIndex(t, even_l),
-        ApproxIndexEF(t, even_l),
-        CompactPrunedSuffixTree(t, l),
-        PrunedSuffixTree(t, l),
-        CombinedIndex(t, l),
-        QGramIndex(t, q=4),
+        spec_for(kind, l).build(ctx)
+        for kind in ("fm", "rlfm", "apx", "apx-ef", "cpst", "pst")
     ]
+    indexes += [CombinedIndex(ctx, l), QGramIndex(ctx, q=4)]
     reports = [validate_index(index, t, seed=seed) for index in indexes]
     # The Patricia trie has no universal contract: validate only on
     # frequent patterns, where |error| < l is guaranteed.
-    trie = PrunedPatriciaTrie(t, even_l)
+    trie = spec_for("patricia", l).build(ctx)
+    trie_l = trie.threshold
     frequent = [
         p for p in mixed_workload(t, per_length=15, seed=seed)
-        if t.count_naive(p) >= even_l // 2
+        if t.count_naive(p) >= trie_l // 2
     ]
     trie_report = ValidationReport(
         index_name="PrunedPatriciaTrie(frequent-only)",
         error_model=ErrorModel.UNIFORM,
-        threshold=even_l,
+        threshold=trie_l,
     )
     for pattern in frequent:
         truth = t.count_naive(pattern)
@@ -212,7 +209,7 @@ def validate_all(
         error = abs(estimate - truth)
         trie_report.max_error = max(trie_report.max_error, error)
         trie_report.total_error += error
-        if error >= even_l:
+        if error >= trie_l:
             trie_report.violations.append(
                 Violation(pattern, truth, estimate, "blind-search error >= l")
             )

@@ -2,9 +2,9 @@
 
 The contract under test: one :class:`~repro.build.BuildContext` per text
 means one suffix sort per text — no matter how many indexes, threads or
-ladder tiers consume it — and every ``from_context`` constructor produces
-an index *bit-identical* (same pickled bytes, same answers) to the legacy
-from-text path it replaces.
+ladder tiers consume it — and every index built over a shared context is
+*bit-identical* (same pickled bytes, same answers) to one built over the
+bare text.
 
 Suffix-sort accounting works by monkeypatching ``repro.sa.suffix_array``:
 every construction site resolves the function through the module attribute
@@ -59,7 +59,8 @@ def sa_calls(monkeypatch):
 
 
 class TestDifferential:
-    """``from_context`` must be indistinguishable from the legacy path."""
+    """A build over a shared context must be indistinguishable from one
+    over the bare text."""
 
     CASES = [
         (CompactPrunedSuffixTree, (8,)),
@@ -77,7 +78,7 @@ class TestDifferential:
     def test_from_context_matches_legacy(self, cls, args):
         ctx = BuildContext(TEXT)
         legacy = cls(TEXT, *args)
-        shared = cls.from_context(ctx, *args)
+        shared = cls(ctx, *args)
         # Same serialized bytes: the builds are bit-identical.
         assert pickle.dumps(legacy) == pickle.dumps(shared)
         # And (belt and braces) the same answers on a mixed workload.
@@ -109,6 +110,13 @@ class TestSingleSuffixSort:
         result = build_all(BuildContext(TEXT), specs, max_workers=4)
         assert len(sa_calls) == 1
         assert result["fm"].count("abra") == TEXT.count_naive("abra")
+
+    def test_validate_all_costs_one_sort(self, sa_calls):
+        from repro.validation import validate_all
+
+        reports = validate_all(TEXT, l=8)
+        assert len(sa_calls) == 1
+        assert len(reports) == 9 and all(report.ok for report in reports)
 
     def test_default_ladder_costs_at_most_one_sort(self, sa_calls):
         service = build_default_ladder(TEXT, 8, max_workers=4)

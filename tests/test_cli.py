@@ -203,6 +203,49 @@ class TestValidateCommand:
         assert "FMIndex" in out
 
 
+class TestOddThreshold:
+    """APX and Patricia sample every (l/2)-th position: at an odd ``--l``
+    every command builds them at ``l - 1``, the even threshold
+    ``spec_for`` rounds down to."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        from repro.build import IndexSpec
+
+        seen = []
+        real = IndexSpec.build
+
+        def recording(spec, context):
+            index = real(spec, context)
+            seen.append((spec.kind, index.threshold))
+            return index
+
+        monkeypatch.setattr(IndexSpec, "build", recording)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["apx", "patricia"])
+    def test_build_count_and_validate_agree(self, capsys, tmp_path, built, kind):
+        from repro.io import load_index
+
+        target = tmp_path / f"{kind}.ridx"
+        run_cli(
+            capsys, "build", "english", "--size", "3000",
+            "--index", kind, "--l", "7", "-o", str(target),
+        )
+        assert load_index(target).threshold == 6
+        run_cli(
+            capsys, "count", "english", "--size", "3000",
+            "--index", kind, "--l", "7", "the", "and",
+        )
+        assert built == [(kind, 6), (kind, 6)]
+        out = run_cli(capsys, "validate", "english", "--size", "3000", "--l", "7")
+        assert "all contracts hold" in out
+        assert "ApproxIndex [uniform, l=6]" in out
+        assert "ApproxIndexEF [uniform, l=6]" in out
+        assert "PrunedPatriciaTrie(frequent-only) [uniform, l=6]" in out
+        assert (kind, 6) in built[2:]
+
+
 class TestJsonOutput:
     def test_count_json(self, capsys):
         import json

@@ -4,39 +4,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ApproxIndex, FMIndex
+from repro.build import BuildContext
+from repro.datasets import generate
 from repro.experiments import ablation, errorbounds, figure7, figure8, figure9, run
-from repro.experiments.common import CorpusContext
+from repro.textutil import sample_from_text
 
 SIZE = 4_000
 
 
 @pytest.fixture(scope="module")
 def english_ctx():
-    return CorpusContext("english", SIZE, seed=0)
+    return BuildContext(generate("english", SIZE, 0), name="english")
 
 
-class TestCorpusContext:
+class TestCorpusBuild:
+    """One corpus, one :class:`BuildContext`: the experiments' shared
+    artifacts are memoised per text and per threshold."""
+
     def test_caching(self, english_ctx):
         assert english_ctx.sa is english_ctx.sa
         assert english_ctx.structure(8) is english_ctx.structure(8)
         assert english_ctx.structure(8) is not english_ctx.structure(16)
-
-    def test_builders_agree_with_direct_construction(self, english_ctx):
-        from repro import ApproxIndex
-
-        direct = ApproxIndex(english_ctx.text, 16)
-        cached = english_ctx.build_apx(16)
-        for pattern in ("the", "of", "and "):
-            assert direct.count(pattern) == cached.count(pattern)
-
-    def test_sample_patterns(self, english_ctx):
-        patterns = english_ctx.sample_patterns(6, 10)
-        assert len(patterns) == 10
-        assert all(len(p) == 6 for p in patterns)
-        assert all(p in english_ctx.text.raw for p in patterns)
-
-    def test_sample_patterns_deterministic(self, english_ctx):
-        assert english_ctx.sample_patterns(6, 5) == english_ctx.sample_patterns(6, 5)
 
 
 class TestFigure7:
@@ -139,12 +128,12 @@ class TestNewAblations:
 
 class TestBatchCounting:
     def test_count_many_matches_scalar(self, english_ctx):
-        index = english_ctx.build_apx(16)
-        patterns = english_ctx.sample_patterns(4, 10)
+        index = ApproxIndex(english_ctx, 16)
+        patterns = sample_from_text(english_ctx.text, 4, 10, seed=1)
         assert index.count_many(patterns) == [index.count(p) for p in patterns]
 
     def test_count_many_empty(self, english_ctx):
-        assert english_ctx.build_fm().count_many([]) == []
+        assert FMIndex(english_ctx).count_many([]) == []
 
 
 class TestScalingExperiment:
@@ -214,20 +203,23 @@ class TestReport:
             generate(size=SIZE, experiments=["figure99"])
 
 
-class TestCustomCorpusContext:
+class TestCustomCorpus:
+    """A user-provided text runs through the same context as a builtin
+    corpus."""
+
     def test_from_text(self):
-        ctx = CorpusContext.from_text("the quick brown fox " * 100, name="mine")
+        ctx = BuildContext("the quick brown fox " * 100, name="mine")
         assert ctx.name == "mine"
-        assert ctx.build_fm().count("quick") == 100
+        assert FMIndex(ctx).count("quick") == 100
         assert ctx.structure(8).num_nodes > 1
-        patterns = ctx.sample_patterns(4, 5)
+        patterns = sample_from_text(ctx.text, 4, 5)
         assert all(p in ctx.text.raw for p in patterns)
 
     def test_from_text_accepts_text_objects(self):
         from repro.textutil import Text
 
-        ctx = CorpusContext.from_text(Text("abcabc" * 50))
-        assert ctx.size == 300
+        ctx = BuildContext(Text("abcabc" * 50))
+        assert len(ctx.text) == 300
 
 
 class TestFigure8Extras:

@@ -11,16 +11,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.common import CorpusContext
+from repro import (
+    ApproxIndex,
+    CompactPrunedSuffixTree,
+    FMIndex,
+    PrunedSuffixTree,
+)
+from repro.build import BuildContext
+from repro.datasets import generate
 from repro.sa import inverse_bwt, verify_suffix_array
 from repro.space import text_bits
+from repro.textutil import sample_from_text
 
 SIZE = 100_000
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return CorpusContext("english", SIZE, seed=13)
+    return BuildContext(generate("english", SIZE, 13), name="english")
 
 
 class TestLargeScalePipeline:
@@ -33,12 +41,14 @@ class TestLargeScalePipeline:
 
     def test_index_contracts_sampled(self, ctx):
         l = 64
-        fm = ctx.build_fm()
-        apx = ctx.build_apx(l)
-        cpst = ctx.build_cpst(l)
+        fm = FMIndex(ctx)
+        apx = ApproxIndex(ctx, l)
+        cpst = CompactPrunedSuffixTree(ctx, l)
         patterns = []
         for length in (2, 5, 9, 14):
-            patterns.extend(ctx.sample_patterns(length, 15))
+            patterns.extend(
+                sample_from_text(ctx.text, length, 15, seed=(13, 1, length))
+            )
         for pattern in patterns:
             truth = fm.count(pattern)
             estimate = apx.count(pattern)
@@ -49,10 +59,10 @@ class TestLargeScalePipeline:
     def test_space_ordering_holds_at_scale(self, ctx):
         l = 64
         reference = text_bits(len(ctx.text), ctx.text.sigma)
-        fm_bits = ctx.build_fm().space_report().payload_bits
-        apx_bits = ctx.build_apx(l).space_report().payload_bits
-        cpst_bits = ctx.build_cpst(l).space_report().payload_bits
-        pst_bits = ctx.build_pst(l).space_report().payload_bits
+        fm_bits = FMIndex(ctx).space_report().payload_bits
+        apx_bits = ApproxIndex(ctx, l).space_report().payload_bits
+        cpst_bits = CompactPrunedSuffixTree(ctx, l).space_report().payload_bits
+        pst_bits = PrunedSuffixTree(ctx, l).space_report().payload_bits
         assert cpst_bits < apx_bits < fm_bits
         assert cpst_bits < pst_bits
         assert cpst_bits < 0.08 * reference  # well under 8% of the text at l=64

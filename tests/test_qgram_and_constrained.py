@@ -34,6 +34,14 @@ class TestQGramIndex:
     def test_absent_character_short_is_exact_zero(self, index):
         assert index.count_or_none("z") == 0
 
+    def test_interval_contains_the_count_beyond_q(self):
+        index = QGramIndex(Text("abcabcabc"), 2)
+        assert index.count_interval("ab") == (3, 3)
+        lo, hi = index.count_interval("abc")
+        assert lo <= 3 <= hi
+        assert (lo, hi) == (0, 9 - 3 + 1)
+        assert index.count_interval("abcabcabcabc") == (0, 0)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             QGramIndex("abc", q=0)

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 from repro import sa as sa_module
+from repro.core.interface import ErrorModel
+from repro.datasets import generate
 from repro.service.server import QueryServer
+from repro.service.tiers import Tier
 from repro.service.watchdog import CorruptionWatchdog, probes_from_text
-from repro.shard import MergePolicy, ShardPlan, build_sharded_ladder
-from repro.textutil import ROW_SEPARATOR, Text
+from repro.shard import MergePolicy, ShardPlan, build_sharded, build_sharded_ladder
+from repro.textutil import ROW_SEPARATOR, Text, sample_from_text
 
 L = 8
 K = 4
@@ -248,3 +253,101 @@ class TestCertifiedFanoutEngineWork:
         tier = service.tiers[0]
         assert tier.engine_stats is tier._counter.planner.stats
         assert tier.engine_stats.patterns == 1
+
+
+class TestTierFollowsShardSet:
+    """A tier over a sharded APX counts through a planner over the product
+    of the per-shard automata. That planner memoises results and holds the
+    automata it was built with, so the tier must rebuild it whenever
+    quarantine, readmission or replacement changes the shard set."""
+
+    @pytest.fixture(scope="class")
+    def dblp(self):
+        raw = generate("dblp", 4000, 0)
+        n = len(raw)
+        rows = [raw[i * n // 8 : (i + 1) * n // 8] for i in range(8)]
+        patterns = sorted(
+            p for p in set(sample_from_text(raw, 5, 60, seed=3)) if "\n" not in p
+        )
+        return ShardPlan.for_rows(rows, K), rows, patterns
+
+    @staticmethod
+    def _holds(tier, rows, pattern):
+        value, model, threshold, _ = tier.answer(pattern)
+        truth = sum(Text(row).count_naive(pattern) for row in rows)
+        assert model is ErrorModel.UNIFORM, pattern
+        return truth <= value <= truth + threshold - 1
+
+    def test_quarantine_query_readmit_query(self, dblp):
+        plan, rows, patterns = dblp
+        sharded, _ = build_sharded(plan, "apx", 16)
+        tier = Tier(sharded)
+        name = sharded.shard_names[0]
+        sharded.quarantine_shard(name, "test")
+        for pattern in patterns:
+            assert tier.answer(pattern)[1] is ErrorModel.UPPER_BOUND
+        sharded.readmit_shard(name)
+        assert all(self._holds(tier, rows, p) for p in patterns)
+
+    def test_counter_built_during_quarantine_then_readmitted(self, dblp):
+        plan, rows, patterns = dblp
+        sharded, _ = build_sharded(plan, "apx", 16)
+        name = sharded.shard_names[0]
+        sharded.quarantine_shard(name, "test")
+        tier = Tier(sharded)
+        sharded.readmit_shard(name)
+        assert all(self._holds(tier, rows, p) for p in patterns)
+
+    def test_replaced_shard_is_counted(self, dblp):
+        plan, _rows, patterns = dblp
+        sharded, _ = build_sharded(plan, "apx", 16)
+        tier = Tier(sharded)
+        stale = [tier.answer(p)[0] for p in patterns]
+        other, _ = build_sharded(
+            ShardPlan.for_rows([generate("english", 1000, 1)], 1), "apx", 16
+        )
+        name = sharded.shard_names[0]
+        sharded.replace_shard(name, other.estimator_for(other.shard_names[0]))
+        fresh = Tier(sharded)
+        answers = [tier.answer(p)[0] for p in patterns]
+        assert answers == [fresh.answer(p)[0] for p in patterns]
+        assert answers == [sharded.count(p) for p in patterns]
+        assert answers != stale
+
+    def test_concurrent_answers_follow_the_last_readmission(self, dblp):
+        # Four serving threads (more than the cores) race twenty
+        # quarantine/readmit flaps; once the last readmission lands, every
+        # answer must come from the full shard set again.
+        plan, rows, patterns = dblp
+        sharded, _ = build_sharded(plan, "apx", 16)
+        tier = Tier(sharded)
+        name = sharded.shard_names[0]
+        stop = threading.Event()
+        errors = []
+
+        def serve():
+            while not stop.is_set():
+                for pattern in patterns[:8]:
+                    try:
+                        tier.answer(pattern)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for _ in range(20):
+                sharded.quarantine_shard(name, "flap")
+                sharded.readmit_shard(name)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert all(self._holds(tier, rows, p) for p in patterns)
